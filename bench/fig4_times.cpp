@@ -9,19 +9,15 @@
 //   par_wall_ms  parallel evaluation wall clock on this host (P threads
 //                over 1 cpu — included for honesty, expect ~= seq_ms);
 //   map_chain_*  a 4-stage map pipeline over the same coefficients,
-//                sequential, run fused (push-mode sink chain, the
-//                default), legacy (with_fusion(false), the pull-based
-//                wrapper walk), and static (the same four maps composed
-//                at compile time via Stream::stages(), one inlined loop
-//                per chunk) — the trio the perf-smoke gate watches
+//                sequential, run fused (the dynamic push-mode sink
+//                chain) and static (the same four maps composed at
+//                compile time via Stream::stages(), one inlined loop per
+//                chunk) — the pair the perf-smoke gate watches
 //                (docs/execution.md, "pipeline fusion" and "static
 //                fusion & SIMD chunk kernels");
-//   flat_map_*   a fan-out-4 flat_map feeding two map stages and a sum,
+//   flat_map_*   a fan-out-8 flat_map feeding four map stages and a sum,
 //                fused (multi-accept FlatMapSink batching expansions into
-//                the chunk protocol) vs legacy (the buffering wrapper
-//                walk, one virtual try_advance per produced element) —
-//                the expansion allocation is identical on both routes,
-//                so the delta is pure transport;
+//                the chunk protocol);
 //   horner_*     the Horner chunk kernel itself over the coefficient
 //                array, blocked/SIMD vs scalar — isolates the kernel
 //                speedup from stream transport.
@@ -72,14 +68,11 @@ std::shared_ptr<const std::vector<double>> make_coefficients(std::size_t n) {
 }
 
 // The fusion workload: four map stages over the shared coefficient
-// array, reduced to a sum. Per element the legacy walk pays one virtual
-// try_advance per wrapper; the fused chain pays one accept_chunk per
-// stage per batch with the per-element loops inlined — the delta is
-// exactly the transport cost the sink engine removes.
-double run_map_chain(const std::shared_ptr<const std::vector<double>>& coeffs,
-                     bool fusion) {
+// array, reduced to a sum. The fused chain pays one accept_chunk per
+// stage per batch with the per-element loops inlined.
+double run_map_chain(
+    const std::shared_ptr<const std::vector<double>>& coeffs) {
   return pls::streams::Stream<double>::of_shared(coeffs)
-      .with_fusion(fusion)
       .map([](const double& v) { return v * 1.0000001; })
       .map([](const double& v) { return v + 0.25; })
       .map([](const double& v) { return v * v; })
@@ -102,16 +95,14 @@ double run_map_chain_static(
       .reduce(0.0, [](double a, double b) { return a + b; });
 }
 
-// The widened-fusion workload: a fan-out-8 flat_map into three map
-// stages, reduced to a sum. Each input element allocates the same
-// 8-element expansion on both routes; legacy then pays one virtual
-// try_advance per produced element through four wrappers, while the
-// fused chain batches whole expansions into accept_chunk — the wider the
-// fan, the more transported elements each (shared) allocation amortises.
+// The widened-fusion workload: a fan-out-8 flat_map into four map
+// stages, reduced to a sum. Each input element allocates an 8-element
+// expansion; the fused chain batches whole expansions into accept_chunk —
+// the wider the fan, the more transported elements each allocation
+// amortises.
 double run_flat_map_chain(
-    const std::shared_ptr<const std::vector<double>>& coeffs, bool fusion) {
+    const std::shared_ptr<const std::vector<double>>& coeffs) {
   return pls::streams::Stream<double>::of_shared(coeffs)
-      .with_fusion(fusion)
       .flat_map([](const double& v) {
         return std::vector<double>{v,          v * 0.5,   v + 0.25,
                                    v * v,      v - 0.125, v * 2.0,
@@ -165,8 +156,7 @@ int main(int argc, char** argv) {
   pls::forkjoin::ForkJoinPool one_worker(1);
   pls::TextTable table({"log2(n)", "n", "seq_ms", "seq_rsd", "par1_ms",
                         "par_sim_ms", "par_wall_ms", "par_wall_rsd",
-                        "mc_fused_ms", "mc_legacy_ms", "mc_static_ms",
-                        "fm_fused_ms", "fm_legacy_ms",
+                        "mc_fused_ms", "mc_static_ms", "fm_fused_ms",
                         "horner_simd", "horner_scal"});
 
   std::vector<std::string> json_rows;
@@ -205,15 +195,11 @@ int main(int argc, char** argv) {
         reps);
 
     const auto mc_fused = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_map_chain(coeffs, true)); }, reps);
-    const auto mc_legacy = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_map_chain(coeffs, false)); }, reps);
+        [&] { pls::bench::keep(run_map_chain(coeffs)); }, reps);
     const auto mc_static = pls::bench::time_ms(
         [&] { pls::bench::keep(run_map_chain_static(coeffs)); }, reps);
     const auto fm_fused = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_flat_map_chain(coeffs, true)); }, reps);
-    const auto fm_legacy = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_flat_map_chain(coeffs, false)); }, reps);
+        [&] { pls::bench::keep(run_flat_map_chain(coeffs)); }, reps);
 
     // Kernel-level Horner: blocked/SIMD vs scalar over the raw array, no
     // stream transport — the pair behind the simd_kernels toggle of
@@ -258,10 +244,8 @@ int main(int argc, char** argv) {
                    pls::TextTable::num(par_wall.mean),
                    pls::TextTable::num(par_wall.rel_stddev(), 3),
                    pls::TextTable::num(mc_fused.mean),
-                   pls::TextTable::num(mc_legacy.mean),
                    pls::TextTable::num(mc_static.mean),
                    pls::TextTable::num(fm_fused.mean),
-                   pls::TextTable::num(fm_legacy.mean),
                    pls::TextTable::num(h_simd.mean),
                    pls::TextTable::num(h_scalar.mean)});
 
@@ -271,10 +255,8 @@ int main(int argc, char** argv) {
     pls::bench::stats_fields(row, "par1_", par1);
     pls::bench::stats_fields(row, "par_wall_", par_wall);
     pls::bench::stats_fields(row, "map_chain_fused_", mc_fused);
-    pls::bench::stats_fields(row, "map_chain_legacy_", mc_legacy);
     pls::bench::stats_fields(row, "map_chain_static_", mc_static);
     pls::bench::stats_fields(row, "flat_map_fused_", fm_fused);
-    pls::bench::stats_fields(row, "flat_map_legacy_", fm_legacy);
     pls::bench::stats_fields(row, "horner_simd_", h_simd);
     pls::bench::stats_fields(row, "horner_scalar_", h_scalar);
     row.field("par_sim_ms", sim.makespan_ns / 1e6)

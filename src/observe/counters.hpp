@@ -24,9 +24,6 @@
 //   allocations           result-container acquisitions (collector supply
 //                         calls, sized-sink buffers, combiner scratch
 //                         growth)
-//   fused_leaves          leaf chunks evaluated by the push-mode fusion
-//                         engine (docs/execution.md); leaf_chunks -
-//                         fused_leaves is the legacy wrapper-walk count
 //
 // With PLS_OBSERVE=0 every type collapses to an empty shell and every
 // member function to a no-op; call sites compile to nothing.
@@ -58,7 +55,6 @@ struct CounterTotals {
   std::uint64_t combines = 0;
   std::uint64_t bytes_moved = 0;
   std::uint64_t allocations = 0;
-  std::uint64_t fused_leaves = 0;
 
   CounterTotals& operator+=(const CounterTotals& o) {
     tasks_executed += o.tasks_executed;
@@ -74,7 +70,6 @@ struct CounterTotals {
     combines += o.combines;
     bytes_moved += o.bytes_moved;
     allocations += o.allocations;
-    fused_leaves += o.fused_leaves;
     return *this;
   }
 
@@ -91,7 +86,6 @@ struct CounterTotals {
     a.combines -= b.combines;
     a.bytes_moved -= b.bytes_moved;
     a.allocations -= b.allocations;
-    a.fused_leaves -= b.fused_leaves;
     return a;
   }
 };
@@ -119,7 +113,6 @@ inline constexpr CounterField kCounterFields[] = {
     {"max_split_depth", &CounterTotals::max_split_depth, false},
     {"elements_accumulated", &CounterTotals::elements_accumulated, true},
     {"leaf_chunks", &CounterTotals::leaf_chunks, true},
-    {"fused_leaves", &CounterTotals::fused_leaves, true},
     {"combines", &CounterTotals::combines, true},
     {"bytes_moved", &CounterTotals::bytes_moved, true},
     {"allocations", &CounterTotals::allocations, true},
@@ -175,7 +168,6 @@ struct alignas(kCacheLineSize) CounterBlock {
   std::atomic<std::uint64_t> combines{0};
   std::atomic<std::uint64_t> bytes_moved{0};
   std::atomic<std::uint64_t> allocations{0};
-  std::atomic<std::uint64_t> fused_leaves{0};
 
   void on_task_executed() noexcept { bump(tasks_executed); }
   void on_steal(bool success) noexcept {
@@ -195,7 +187,6 @@ struct alignas(kCacheLineSize) CounterBlock {
     bytes_moved.fetch_add(bytes, std::memory_order_relaxed);
   }
   void on_allocation() noexcept { bump(allocations); }
-  void on_fused_leaf() noexcept { bump(fused_leaves); }
 
   CounterTotals snapshot() const noexcept {
     CounterTotals t;
@@ -211,7 +202,6 @@ struct alignas(kCacheLineSize) CounterBlock {
     t.combines = combines.load(std::memory_order_relaxed);
     t.bytes_moved = bytes_moved.load(std::memory_order_relaxed);
     t.allocations = allocations.load(std::memory_order_relaxed);
-    t.fused_leaves = fused_leaves.load(std::memory_order_relaxed);
     return t;
   }
 
@@ -227,7 +217,6 @@ struct alignas(kCacheLineSize) CounterBlock {
     combines.store(0, std::memory_order_relaxed);
     bytes_moved.store(0, std::memory_order_relaxed);
     allocations.store(0, std::memory_order_relaxed);
-    fused_leaves.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -337,7 +326,6 @@ struct CounterBlock {
   void on_combine() noexcept {}
   void on_bytes_moved(std::uint64_t) noexcept {}
   void on_allocation() noexcept {}
-  void on_fused_leaf() noexcept {}
   CounterTotals snapshot() const noexcept { return {}; }
   void reset() noexcept {}
 };

@@ -1,29 +1,26 @@
-// fuse(): strip a wrapper-spliterator pipeline into a FusedPipeline —
-// the owned source spliterator plus the ordered stage chain — so terminal
-// evaluation can compose one Sink chain per leaf and run a single tight
-// push loop (docs/execution.md, "Pipeline fusion").
+// Pipeline fusion: a stream pipeline as its source spliterator plus the
+// ordered stage chain, so terminal evaluation composes one Sink chain per
+// leaf and runs a single tight push loop (docs/execution.md, "Pipeline
+// fusion").
 //
 // The stream still *builds* the wrapper chain (splitting, characteristics
 // and introspection are unchanged); fusion happens once, at terminal
 // evaluation, by walking the wrappers outermost-in through the
 // FusableStage mixin. Each fusable wrapper contributes an immutable
-// StageNode descriptor and hands over its upstream; when the walk bottoms
-// out in an admissible source (SIZED|SUBSIZED, windowed, window count ==
-// size — the same shape test the destination-passing collect uses), the
-// wrappers are consumed and the fused pipeline takes over. When any layer
-// is non-fusible (concat products, an unsized iterate tail, a
-// non-windowed source), nothing is consumed and the caller falls back to
-// the wrapper path unchanged. sorted is special: it materialises its
-// buffer and restarts the fusion walk on it as a fresh windowed array
-// source, so everything *downstream* of the buffer point still fuses.
+// StageNode descriptor and hands over its upstream; the walk bottoms out
+// in whatever is not a fusable wrapper — an array, a range, a concat, an
+// unsized iterate tail, a user spliterator — which becomes the pipeline's
+// source. Fusion therefore always succeeds: every terminal runs fused.
+// sorted is special: it materialises its buffer and restarts the fusion
+// walk on it as a fresh windowed array source, so everything *downstream*
+// of the buffer point still fuses.
 //
 // Splitting a FusedPipeline splits the source and shares the stage chain,
-// so the parallel tree walks fork fused leaves exactly where they forked
-// wrapper leaves. Chains containing a cancelling stage (limit/take_while)
-// refuse to split — their wrappers did too — and always run the
-// element-mode driver, preserving short-circuit consumption depth.
-// Stateful chains (distinct) also refuse to split, but keep the chunked
-// transport within their single leaf.
+// so the parallel tree walk forks fused leaves wherever the source splits.
+// Chains containing a cancelling stage (limit/skip/take_while) refuse to
+// split and always run the element-mode driver, preserving short-circuit
+// consumption depth. Stateful chains (distinct, drop_while) also refuse
+// to split, but keep the chunked transport within their single leaf.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +59,9 @@ class StageNode {
   virtual bool cancels() const noexcept { return false; }
 
   /// True for stages whose sink carries traversal-wide state (distinct's
-  /// seen-set): the chain must be driven by exactly one leaf — split
-  /// products would each dedup against their own empty set — but may
-  /// still use the chunked transport.
+  /// seen-set, drop_while's still-dropping flag): the chain must be driven
+  /// by exactly one leaf — split products would each dedup against their
+  /// own empty set — but may still use the chunked transport.
   virtual bool stateful() const noexcept { return false; }
 
   /// True when the stage maps elements 1:1 (map / peek) — the property
@@ -73,9 +70,9 @@ class StageNode {
 
   /// How the stage transforms a known upstream element count; returns
   /// kUnknownSinkSize when the result count cannot be known (filter,
-  /// take_while). Mirrors what the wrapper reported through kSized /
-  /// estimate_size, so fused leaves feed the observe counters the same
-  /// element totals the wrapper leaves did.
+  /// take_while). Mirrors what the wrapper reports through kSized /
+  /// estimate_size, so leaves feed the observe counters the element
+  /// totals the wrapper's sizing implies.
   virtual std::uint64_t transform_count(std::uint64_t count) const noexcept {
     return count;
   }
@@ -89,11 +86,14 @@ class FusedPipeline {
  public:
   virtual ~FusedPipeline() = default;
 
-  /// Remaining source elements (exact: admission requires SIZED).
+  /// Remaining source elements (exact when the source is SIZED).
   virtual std::uint64_t estimate_size() const = 0;
 
-  /// The source's destination window (admission guarantees presence on
-  /// the undivided pipeline; split products inherit it from their source).
+  /// The source's characteristic flags (the planner's shape facts).
+  virtual Characteristics source_characteristics() const = 0;
+
+  /// The source's destination window, or nullopt when it names none
+  /// (split products inherit it from their source).
   virtual std::optional<OutputWindow> source_window() const = 0;
 
   /// Split off a prefix pipeline sharing this stage chain, or nullptr
@@ -135,11 +135,11 @@ class FusedPipeline {
   /// Number of stripped stages in the chain (the planner's stage summary).
   std::size_t stage_count() const noexcept { return stages().size(); }
 
-  /// The element count a legacy wrapper leaf would have reported to the
-  /// observe counters (countable_size of the outermost wrapper): the
-  /// source size folded through every stage, 0 once any stage makes it
-  /// unknowable.
+  /// The element count a leaf reports to the observe counters: the size
+  /// of a SIZED source folded through every stage, 0 for an unsized
+  /// source or once any stage makes the count unknowable.
   std::uint64_t countable_estimate() const {
+    if (!has_characteristics(source_characteristics(), kSized)) return 0;
     std::uint64_t n = estimate_size();
     for (const auto& s : stages()) {
       if (n == kUnknownSinkSize) break;
@@ -158,9 +158,10 @@ class FusedPipeline {
 };
 
 /// Mixin for wrapper spliterators that can dissolve into a fused stage.
-/// strip_into_fused() consumes the wrapper's upstream ONLY when the whole
-/// chain below fused; on failure the wrapper (and everything under it) is
-/// untouched and keeps working as a spliterator.
+/// strip_into_fused() fuses the upstream and appends this wrapper's stage;
+/// it returns nullptr, leaving the wrapper untouched, only when the
+/// wrapper cannot dissolve (a flat_map with a half-drained expansion
+/// buffer) — fuse_pipeline then adopts the wrapper itself as the source.
 class FusableStage {
  public:
   virtual ~FusableStage() = default;
@@ -189,6 +190,10 @@ class FusedPipelineImpl final : public FusedPipeline {
 
   std::uint64_t estimate_size() const override {
     return source_->estimate_size();
+  }
+
+  Characteristics source_characteristics() const override {
+    return source_->characteristics();
   }
 
   std::optional<OutputWindow> source_window() const override {
@@ -273,7 +278,7 @@ class FusedPipelineImpl final : public FusedPipeline {
   }
 
   /// Element-mode with a cancellation check between elements: consumes
-  /// exactly as deep into the source as the wrapper chain would have.
+  /// the source exactly as deep as the chain's short-circuit demands.
   void drive_cancellable(Sink<S>& head) {
     while (!head.cancellation_requested() &&
            source_->try_advance([&](const S& v) { head.accept(v); })) {
@@ -498,9 +503,62 @@ class TakeWhileStage final : public StageNode {
   std::shared_ptr<const Pred> pred_;
 };
 
-// The fuse step itself — fuse_source / fuse_pipeline, i.e. the admission
-// *decisions* — lives in streams/plan.hpp with every other admission
-// predicate; this header keeps only the mechanism (stages, pipelines,
-// the drive loops).
+template <typename T, typename Pred>
+class DropWhileStage final : public StageNode {
+ public:
+  explicit DropWhileStage(std::shared_ptr<const Pred> pred)
+      : pred_(std::move(pred)) {}
+
+  std::unique_ptr<SinkControl> wrap_sink(
+      SinkControl& downstream) const override {
+    return std::make_unique<DropWhileSink<T, Pred>>(
+        pred_, static_cast<Sink<T>&>(downstream));
+  }
+
+  const std::type_info& input_type() const noexcept override {
+    return typeid(T);
+  }
+  const std::type_info& output_type() const noexcept override {
+    return typeid(T);
+  }
+  bool one_to_one() const noexcept override { return false; }
+  bool stateful() const noexcept override { return true; }
+  std::uint64_t transform_count(std::uint64_t) const noexcept override {
+    return kUnknownSinkSize;
+  }
+
+ private:
+  std::shared_ptr<const Pred> pred_;
+};
+
+// ---- the fuse step -----------------------------------------------------
+
+/// Adopt any spliterator as the source of a stage-free pipeline. Never
+/// refuses: source shape (SIZED|SUBSIZED, windowed, power of two) only
+/// matters to destination-passing admission, which the planner decides
+/// on the fused pipeline (plan_fused_pipeline in streams/plan.hpp).
+template <typename T>
+std::unique_ptr<FusedPipeline> fuse_source(
+    std::unique_ptr<Spliterator<T>>& sp) {
+  return std::make_unique<FusedPipelineImpl<T>>(std::move(sp));
+}
+
+/// Fuse the pipeline rooted at `sp` (the outermost wrapper or the bare
+/// source). Always succeeds and consumes `sp`: fusable wrappers dissolve
+/// into stages, and whatever the walk bottoms out in becomes the source.
+template <typename T>
+std::unique_ptr<FusedPipeline> fuse_pipeline(
+    std::unique_ptr<Spliterator<T>>& sp) {
+  PLS_CHECK(sp != nullptr, "fuse_pipeline requires a source");
+  if (auto* stage = dynamic_cast<FusableStage*>(sp.get())) {
+    if (auto fused = stage->strip_into_fused()) {
+      PLS_CHECK(fused->output_type() == typeid(T),
+                "fused pipeline output type does not match the terminal");
+      sp.reset();
+      return fused;
+    }
+  }
+  return fuse_source(sp);
+}
 
 }  // namespace pls::streams

@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "streams/plan.hpp"
+#include "streams/fusion.hpp"
 #include "streams/spliterator.hpp"
 #include "streams/spliterators.hpp"
 #include "support/assert.hpp"
@@ -68,9 +68,7 @@ class MapSpliterator final : public Spliterator<U>,
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<MapStage<U, T, Fn>>(fn_));
-    }
+    fused->append_stage(std::make_shared<MapStage<U, T, Fn>>(fn_));
     return fused;
   }
 
@@ -132,9 +130,7 @@ class FilterSpliterator final : public Spliterator<T>, public FusableStage {
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<FilterStage<T, Pred>>(pred_));
-    }
+    fused->append_stage(std::make_shared<FilterStage<T, Pred>>(pred_));
     return fused;
   }
 
@@ -194,9 +190,7 @@ class PeekSpliterator final : public Spliterator<T>,
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<PeekStage<T, Fn>>(observer_));
-    }
+    fused->append_stage(std::make_shared<PeekStage<T, Fn>>(observer_));
     return fused;
   }
 
@@ -262,12 +256,11 @@ class FlatMapSpliterator final : public Spliterator<U>, public FusableStage {
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     // Elements already expanded into the pull buffer precede the
     // remaining upstream in encounter order; a fresh sink chain would
-    // drop them, so refuse (terminals strip before traversal anyway).
+    // drop them, so refuse — fuse_pipeline then adopts this wrapper as the
+    // pipeline's source (terminals strip before traversal anyway).
     if (cursor_ < buffer_.size()) return nullptr;
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<FlatMapStage<U, T, Fn>>(fn_));
-    }
+    fused->append_stage(std::make_shared<FlatMapStage<U, T, Fn>>(fn_));
     return fused;
   }
 
@@ -325,9 +318,7 @@ class DistinctSpliterator final : public Spliterator<T>, public FusableStage {
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<DistinctStage<T>>());
-    }
+    fused->append_stage(std::make_shared<DistinctStage<T>>());
     return fused;
   }
 

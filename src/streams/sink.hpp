@@ -1,9 +1,9 @@
 // Sink<T>: the push-mode consumer protocol of the fusion engine
 // (mirrors java.util.stream.Sink).
 //
-// The wrapper-spliterator pipeline (streams/pipeline_spliterators.hpp)
-// evaluates pull-mode: every terminal traversal pays one indirect
-// try_advance / action hop per stage per element. Java's real engine never
+// Pulling through the wrapper spliterators
+// (streams/pipeline_spliterators.hpp) pays one indirect try_advance /
+// action hop per stage per element. Java's real engine never
 // does that — AbstractPipeline composes all intermediate ops into one Sink
 // chain per leaf (opWrapSink) and runs a single tight loop. This header is
 // that protocol: a Sink accepts a begin(size) / accept(value)* / end()
@@ -14,7 +14,7 @@
 //  - accept(v): one element, one virtual call — the type-erased fallback,
 //    and the only transport for cancelling (short-circuit) chains, whose
 //    per-element cancellation checks must observe exactly the same
-//    source-consumption depth as the wrapper path.
+//    source-consumption depth as an element-at-a-time pull.
 //  - accept_chunk(p, n): a whole batch per virtual call. Stage sinks
 //    override it with an inlined loop over their concrete operator
 //    (MapSink applies Fn in a tight scratch loop, PeekSink forwards the
@@ -386,6 +386,45 @@ class TakeWhileSink final : public Sink<T> {
   std::shared_ptr<const Pred> pred_;
   Sink<T>& down_;
   bool done_ = false;
+};
+
+/// drop_while: drops the longest satisfying prefix, then forwards every
+/// element. Stateful — the still-dropping flag spans the traversal — so,
+/// like distinct, a chain containing it is driven by exactly one leaf.
+/// Chunk mode skips the dropped prefix and forwards the rest of the chunk
+/// as is.
+template <typename T, typename Pred>
+class DropWhileSink final : public Sink<T> {
+ public:
+  DropWhileSink(std::shared_ptr<const Pred> pred, Sink<T>& down)
+      : pred_(std::move(pred)), down_(down) {}
+
+  void begin(std::uint64_t) override { down_.begin(kUnknownSinkSize); }
+  void end() override { down_.end(); }
+  bool cancellation_requested() const override {
+    return down_.cancellation_requested();
+  }
+
+  void accept(const T& value) override {
+    if (dropping_ && (*pred_)(value)) return;
+    dropping_ = false;
+    down_.accept(value);
+  }
+
+  void accept_chunk(const T* values, std::size_t n) override {
+    std::size_t i = 0;
+    if (dropping_) {
+      while (i < n && (*pred_)(values[i])) ++i;
+      if (i == n) return;
+      dropping_ = false;
+    }
+    down_.accept_chunk(values + i, n - i);
+  }
+
+ private:
+  std::shared_ptr<const Pred> pred_;
+  Sink<T>& down_;
+  bool dropping_ = true;
 };
 
 }  // namespace pls::streams

@@ -46,7 +46,7 @@ struct OutputWindow {
 /// (stride doubled), exactly mirroring how SpliteratorPower2 transforms
 /// its (start, incr, count) triple. Wrappers that merely map values 1:1
 /// (e.g. MapSpliterator) delegate to their upstream; sources that cannot
-/// name a window return nullopt and collect through the legacy
+/// name a window return nullopt and collect through the
 /// supplier/combiner path.
 class WindowedSource {
  public:

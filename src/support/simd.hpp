@@ -105,13 +105,21 @@ T horner_chunk(T acc, T x, const T* c, std::size_t n) {
     T lane[W];
     PLS_PRAGMA_SIMD
     for (std::size_t j = 0; j < W; ++j) lane[j] = c[j];
-    T xpow = xw;  // x^(elements consumed by the blocked prefix)
     std::size_t i = W;
     for (; i + W <= n; i += W) {
       PLS_PRAGMA_SIMD
       for (std::size_t j = 0; j < W; ++j)
         lane[j] = static_cast<T>(lane[j] * xw + c[i + j]);
-      xpow = static_cast<T>(xpow * xw);
+    }
+    // x^(elements consumed by the blocked prefix) = xw^(i / W), by
+    // repeated squaring after the loop. A running product inside the loop
+    // decays into subnormals for |x| < 1 and then pays a subnormal
+    // multiply on every block.
+    T xpow = T{1};
+    T base = xw;
+    for (std::size_t e = i / W; e != 0; e >>= 1) {
+      if (e & 1) xpow = static_cast<T>(xpow * base);
+      if (e > 1) base = static_cast<T>(base * base);
     }
     T folded = lane[0];
     for (std::size_t j = 1; j < W; ++j)

@@ -53,14 +53,12 @@ TEST(KillSwitch, CountersAreInert) {
   block.on_steal(true);
   block.on_split(9);
   block.on_leaf(1000);
-  block.on_fused_leaf();
   block.on_combine();
   const CounterTotals t = block.snapshot();
   EXPECT_EQ(t.tasks_executed, 0u);
   EXPECT_EQ(t.steals, 0u);
   EXPECT_EQ(t.splits, 0u);
   EXPECT_EQ(t.elements_accumulated, 0u);
-  EXPECT_EQ(t.fused_leaves, 0u);
   EXPECT_EQ(t.combines, 0u);
 
   const CounterTotals agg = pls::observe::aggregate_counters();

@@ -1,18 +1,18 @@
-// Fusion differential suite: generated pipelines over every op the
-// planner admits — map variants, peek, filter, limit, take_while,
-// flat_map, distinct, sorted — over Array/Range/Generate sources must
-// collect bit-identical vectors with fusion on and off, across the
-// sequential fold, the fork-join supplier/combiner reduction, and the
-// destination-passing collect — including identical short-circuit
-// consumption depth, observed through a counting peek injected below the
-// cancelling stages. The tentpole property drives each generated shape
-// through 6 mode combinations over >= 200 iterations (1200+ pipeline x
-// mode combinations), plus a routing property asserting the fusion
-// admission gate mirrors expects_fusion_admission.
-// (Match/find terminals and their consumption-depth parity live in
+// Fusion differential suite: generated pipelines over every stream op —
+// map variants, peek, filter, limit, skip, take_while, drop_while,
+// flat_map, distinct, sorted — over Array/Range/Generate/Concat/Iterate
+// sources must collect exactly reference_result across the sequential
+// fold, the fork-join supplier/combiner reduction, and the
+// destination-passing collect — and consume exactly reference_consumption
+// source elements, observed through a counting peek injected below the
+// generated ops. The tentpole property drives each generated shape
+// through 3 modes over >= 200 iterations.
+// (Match/find terminals and their consumption depth live in
 // fusion_wide_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,12 +40,12 @@ std::uint64_t chunk_for(const PipelineShape& s, Rand& r) {
   return 1 + r.below(8);
 }
 
-/// The tentpole property: with_fusion(true) == with_fusion(false), bit
-/// for bit, in every execution mode.
+/// The tentpole property: every execution mode equals the reference, bit
+/// for bit.
 TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "with_fusion(true) == with_fusion(false) x {seq, fj, dps}",
+      "{seq, fj, dps} == reference_result",
       suite_config(200),
       [](Rand& r) {
         PipelineShape s = gen_pipeline(r, 9);
@@ -66,22 +66,15 @@ TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
         for (const bool parallel : {false, true}) {
           for (const bool sized_sink : {false, true}) {
             if (!parallel && sized_sink) continue;  // same sequential route
-            std::vector<std::int64_t> got[2];
-            for (const bool fusion : {false, true}) {
-              auto stream = build_stream(s)
-                                .with_fusion(fusion)
-                                .with_sized_sink(sized_sink);
-              if (parallel) {
-                stream = std::move(stream).parallel().via(pool).with_min_chunk(
-                    chunk);
-              }
-              got[fusion ? 1 : 0] = std::move(stream).to_vector();
+            auto stream = build_stream(s).with_sized_sink(sized_sink);
+            if (parallel) {
+              stream =
+                  std::move(stream).parallel().via(pool).with_min_chunk(chunk);
             }
-            if (got[1] != expected || got[0] != expected) {
+            if (std::move(stream).to_vector() != expected) {
               return PropStatus::fail(
                   std::string(parallel ? "parallel" : "sequential") +
                   (sized_sink ? "+dps" : "") +
-                  (got[1] != expected ? " fused" : " legacy") +
                   " route diverged from reference (min_chunk=" +
                   std::to_string(chunk) + ")");
             }
@@ -92,151 +85,144 @@ TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Short-circuit parity: a counting peek placed *before* the generated
-/// ops sees every element the evaluator pulls out of the source. For
-/// cancelling chains (limit/take_while) the fused cancellable driver must
-/// pull exactly as many as the legacy wrapper walk.
+/// Short-circuit depth: a counting peek placed *before* the generated ops
+/// sees every element the evaluator pulls out of the source. Cancelling
+/// chains (limit/take_while) must stop exactly where an element-at-a-time
+/// evaluation does — reference_consumption — sequential or parallel.
 TEST(FusionDifferential, CancellationConsumptionDepthMatchesLegacy) {
+  pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "fused source consumption == legacy source consumption",
-      suite_config(200), [](Rand& r) { return gen_pipeline(r, 9); },
+      "source consumption == reference_consumption", suite_config(200),
+      [](Rand& r) { return gen_pipeline(r, 9); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
-      [](const PipelineShape& s) -> PropStatus {
-        std::uint64_t pulls[2] = {0, 0};
-        std::vector<std::int64_t> got[2];
-        for (const bool fusion : {false, true}) {
-          std::uint64_t& n = pulls[fusion ? 1 : 0];
-          auto probed = build_source(s).with_fusion(fusion).peek(
-              [&n](const std::int64_t&) { ++n; });
-          got[fusion ? 1 : 0] =
-              apply_ops(std::move(probed), s).to_vector();
-        }
-        if (got[1] != got[0]) {
-          return PropStatus::fail("fused result diverged from legacy");
-        }
-        if (pulls[1] != pulls[0]) {
-          return PropStatus::fail(
-              "fused pipeline consumed " + std::to_string(pulls[1]) +
-              " source elements, legacy consumed " +
-              std::to_string(pulls[0]));
+      [&](const PipelineShape& s) -> PropStatus {
+        const std::uint64_t expected = reference_consumption(s);
+        for (const bool parallel : {false, true}) {
+          std::atomic<std::uint64_t> pulls{0};
+          auto probed = build_source(s).peek([&pulls](const std::int64_t&) {
+            pulls.fetch_add(1, std::memory_order_relaxed);
+          });
+          if (parallel) {
+            probed = std::move(probed).parallel().via(pool).with_min_chunk(4);
+          }
+          if (apply_ops(std::move(probed), s).to_vector() !=
+              reference_result(s)) {
+            return PropStatus::fail("result diverged from reference");
+          }
+          if (pulls.load() != expected) {
+            return PropStatus::fail(
+                std::string(parallel ? "parallel" : "sequential") +
+                " pipeline consumed " + std::to_string(pulls.load()) +
+                " source elements, reference consumes " +
+                std::to_string(expected));
+          }
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// Routing property (mirrors the DPS admission property): every generated
-/// shape is built from fusable ops over windowed sized sources, so the
-/// fuse step must admit exactly expects_fusion_admission — observable
-/// through the fused_leaves counter.
-TEST(FusionDifferential, FusionAdmissionMatchesPredicate) {
-  if (!pls::observe::kEnabled) {
-    GTEST_SKIP() << "observability compiled out";
+/// Counter totals: leaves feed elements_accumulated the size of a SIZED
+/// source folded through the chain's stages (transform_count mirrors the
+/// wrappers' sizing), 0 once a stage — or an unsized source — makes it
+/// unknowable. sorted restarts the count at its buffer. The sum over
+/// leaves is the same however the walk splits.
+std::uint64_t expected_element_total(const PipelineShape& s) {
+  const std::size_t start = fused_chain_start(s);
+  std::uint64_t n = s.size;
+  if (start > 0) {
+    PipelineShape prefix = s;
+    prefix.ops.resize(start);
+    n = reference_result(prefix).size();
+  } else if (s.source == SourceKind::kIterate) {
+    return 0;
   }
-  const auto result = check(
-      "fused_leaves > 0 == expects_fusion_admission", suite_config(100),
-      [](Rand& r) { return gen_pipeline(r, 8); },
-      [](const PipelineShape& s) { return shrink_pipeline(s); },
-      [](const PipelineShape& s) -> PropStatus {
-        const auto before = pls::observe::aggregate_counters();
-        (void)build_stream(s).with_fusion(true).to_vector();
-        const auto delta = pls::observe::aggregate_counters() - before;
-        const bool fused = delta.fused_leaves > 0;
-        if (fused != expects_fusion_admission(s)) {
-          return PropStatus::fail(
-              fused ? "non-fusible pipeline ran fused"
-                    : "fusible pipeline fell back to the wrapper walk");
-        }
-        const auto before_off = pls::observe::aggregate_counters();
-        (void)build_stream(s).with_fusion(false).to_vector();
-        const auto delta_off =
-            pls::observe::aggregate_counters() - before_off;
-        if (delta_off.fused_leaves != 0) {
-          return PropStatus::fail("with_fusion(false) still ran fused");
-        }
-        return PropStatus::pass();
-      });
-  PLS_EXPECT_PROP(result);
-}
-
-/// Counter parity: fused leaves must feed elements_accumulated the same
-/// totals legacy leaves do (transform_count mirrors the wrappers' sizing),
-/// so observability reports stay comparable across routes. Shapes where a
-/// sorted stage sits below a size-obscuring op (filter/take_while/
-/// flat_map/distinct) are skipped: sorted's buffer recovers the exact
-/// count, so the fused restart reports it while the legacy wrapper walk
-/// already lost sizing upstream — a deliberate sizing improvement, not a
-/// parity bug.
-bool sorted_recovers_obscured_size(const PipelineShape& s) {
-  bool sized = true;
-  for (const PipelineOp& op : s.ops) {
+  for (std::size_t i = start; i < s.ops.size(); ++i) {
+    const PipelineOp& op = s.ops[i];
     switch (op.kind) {
+      case OpKind::kLimit:
+        n = std::min(n, limit_count(op));
+        break;
+      case OpKind::kSkip:
+        n = n > skip_count(op) ? n - skip_count(op) : 0;
+        break;
       case OpKind::kFilter:
       case OpKind::kTakeWhile:
+      case OpKind::kDropWhile:
       case OpKind::kFlatMap:
       case OpKind::kDistinct:
-        sized = false;
-        break;
-      case OpKind::kSorted:
-        if (!sized) return true;
-        sized = true;
-        break;
+        return 0;
       default:
-        break;  // map variants, peek, limit keep sizing as-is
+        break;  // map variants and peek keep the count
     }
   }
-  return false;
+  return n;
 }
 
 TEST(FusionDifferential, FusedLeafElementTotalsMatchLegacy) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
   }
+  pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "fused elements_accumulated == legacy elements_accumulated",
-      suite_config(80), [](Rand& r) { return gen_pipeline(r, 8); },
+      "elements_accumulated == expected_element_total", suite_config(80),
+      [](Rand& r) { return gen_pipeline(r, 8); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
-      [](const PipelineShape& s) -> PropStatus {
-        if (sorted_recovers_obscured_size(s)) return PropStatus::pass();
-        std::uint64_t elements[2] = {0, 0};
-        for (const bool fusion : {false, true}) {
+      [&](const PipelineShape& s) -> PropStatus {
+        const std::uint64_t expected = expected_element_total(s);
+        for (const bool parallel : {false, true}) {
+          auto stream = build_stream(s);
+          if (parallel) {
+            stream = std::move(stream).parallel().via(pool).with_min_chunk(4);
+          }
           const auto before = pls::observe::aggregate_counters();
-          (void)build_stream(s).with_fusion(fusion).to_vector();
+          (void)std::move(stream).to_vector();
           const auto delta = pls::observe::aggregate_counters() - before;
-          elements[fusion ? 1 : 0] = delta.elements_accumulated;
-        }
-        if (elements[1] != elements[0]) {
-          return PropStatus::fail(
-              "fused leaf reported " + std::to_string(elements[1]) +
-              " elements, legacy reported " + std::to_string(elements[0]));
+          if (delta.elements_accumulated != expected) {
+            return PropStatus::fail(
+                std::string(parallel ? "parallel" : "sequential") +
+                " leaves reported " +
+                std::to_string(delta.elements_accumulated) +
+                " elements, expected " + std::to_string(expected));
+          }
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// Terminal coverage beyond to_vector: count and reduce agree fused vs
-/// legacy for every generated shape.
+/// Terminal coverage beyond to_vector: count and reduce equal the
+/// reference for every generated shape, sequential and parallel.
 TEST(FusionDifferential, CountAndReduceAgreeFusedVsLegacy) {
+  pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "count/reduce fused == legacy", suite_config(100),
+      "count/reduce == reference", suite_config(100),
       [](Rand& r) { return gen_pipeline(r, 9); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
-      [](const PipelineShape& s) -> PropStatus {
-        const auto count_for = [&](bool fusion) {
-          return build_stream(s).with_fusion(fusion).count();
-        };
-        if (count_for(true) != count_for(false)) {
-          return PropStatus::fail("count diverged fused vs legacy");
-        }
-        const auto xor_for = [&](bool fusion) {
-          return build_stream(s).with_fusion(fusion).reduce(
-              std::int64_t{0}, [](std::int64_t a, std::int64_t b) {
-                return a ^ b;
-              });
-        };
-        if (xor_for(true) != xor_for(false)) {
-          return PropStatus::fail("xor-reduce diverged fused vs legacy");
+      [&](const PipelineShape& s) -> PropStatus {
+        const std::vector<std::int64_t> expected = reference_result(s);
+        std::int64_t expected_xor = 0;
+        for (const std::int64_t v : expected) expected_xor ^= v;
+        for (const bool parallel : {false, true}) {
+          const auto stream_for = [&] {
+            auto stream = build_stream(s);
+            if (parallel) {
+              stream =
+                  std::move(stream).parallel().via(pool).with_min_chunk(4);
+            }
+            return stream;
+          };
+          const std::string mode = parallel ? "parallel" : "sequential";
+          if (stream_for().count() != expected.size()) {
+            return PropStatus::fail(mode + " count diverged from reference");
+          }
+          const std::int64_t got = stream_for().reduce(
+              std::int64_t{0},
+              [](std::int64_t a, std::int64_t b) { return a ^ b; });
+          if (got != expected_xor) {
+            return PropStatus::fail(mode +
+                                    " xor-reduce diverged from reference");
+          }
         }
         return PropStatus::pass();
       });

@@ -1,21 +1,22 @@
-// Wide-admission differential suite (PR 8): short-circuit match/find
-// terminals over pipelines generated from every op the planner admits —
-// map variants, peek, filter, limit, take_while, flat_map, distinct,
-// sorted. Three properties:
+// Short-circuit differential suite: match/find terminals over pipelines
+// generated from every stream op — map variants, peek, filter, limit,
+// skip, take_while, drop_while, flat_map, distinct, sorted — over every
+// generated source. Three properties:
 //
-//   1. any/all/none_match and find_first agree fused vs legacy vs a
-//      reference computed from the op-by-op interpreter.
-//   2. Consumption-depth parity: a fused short-circuit terminal pulls
-//      exactly as many source elements as the legacy pull loop, observed
-//      through a counting peek between the source and the generated ops.
-//   3. Routing: match terminals run on the fused element loop whenever
-//      fusion is on (fused_leaves > 0) and never when it is off.
+//   1. any/all/none_match and find_first equal a reference computed from
+//      the op-by-op interpreter, sequential and parallel.
+//   2. Consumption depth: a short-circuit terminal pulls exactly
+//      reference_consumption source elements, observed through a counting
+//      peek between the source and the generated ops.
+//   3. Routing: a match terminal runs one element-loop leaf on the
+//      calling thread, however parallel the stream.
 //
 // Failures replay with PLS_TEST_SEED, like the rest of the proptest
 // suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,11 +64,11 @@ std::vector<ShapeAndParam> shrink_case(const ShapeAndParam& c) {
   return out;
 }
 
-/// All four short-circuit terminals agree across the fused element loop,
-/// the legacy pull loops, and the reference interpreter.
+/// All four short-circuit terminals equal the reference interpreter,
+/// sequential and parallel.
 TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
   const auto result = check(
-      "match/find fused == legacy == reference", suite_config(150), gen_case,
+      "match/find == reference", suite_config(150), gen_case,
       shrink_case, [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
         const std::vector<std::int64_t> expected =
@@ -81,30 +82,27 @@ TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
             expected.empty() ? std::nullopt
                              : std::optional<std::int64_t>(expected.front());
         for (const bool parallel : {false, true}) {
-          for (const bool fusion : {false, true}) {
-            const auto stream_for = [&]() {
-              auto s = build_stream(c.shape).with_fusion(fusion);
-              if (parallel) s = std::move(s).parallel();
-              return s;
-            };
-            const std::string mode = std::string(fusion ? "fused" : "legacy") +
-                                     (parallel ? "+parallel" : "");
-            if (stream_for().any_match(pred) != ref_any) {
-              return PropStatus::fail("any_match diverged (" + mode + "): " +
-                                      c.shape.debug_string());
-            }
-            if (stream_for().all_match(pred) != ref_all) {
-              return PropStatus::fail("all_match diverged (" + mode + "): " +
-                                      c.shape.debug_string());
-            }
-            if (stream_for().none_match(pred) != !ref_any) {
-              return PropStatus::fail("none_match diverged (" + mode +
-                                      "): " + c.shape.debug_string());
-            }
-            if (stream_for().find_first() != ref_first) {
-              return PropStatus::fail("find_first diverged (" + mode +
-                                      "): " + c.shape.debug_string());
-            }
+          const auto stream_for = [&]() {
+            auto s = build_stream(c.shape);
+            if (parallel) s = std::move(s).parallel();
+            return s;
+          };
+          const std::string mode = parallel ? "parallel" : "sequential";
+          if (stream_for().any_match(pred) != ref_any) {
+            return PropStatus::fail("any_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().all_match(pred) != ref_all) {
+            return PropStatus::fail("all_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().none_match(pred) != !ref_any) {
+            return PropStatus::fail("none_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().find_first() != ref_first) {
+            return PropStatus::fail("find_first diverged (" + mode + "): " +
+                                    c.shape.debug_string());
           }
         }
         return PropStatus::pass();
@@ -112,42 +110,37 @@ TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Consumption-depth parity: fused short-circuit terminals pull exactly
-/// as many source elements as the legacy pull loops — the cancellable
-/// element-mode driver checks cancellation at the same points the wrapper
-/// walk stops pulling.
+/// Consumption depth: short-circuit terminals pull exactly as many source
+/// elements as an element-at-a-time evaluation — the cancellable
+/// element-mode driver checks cancellation between source elements.
 TEST(FusionWide, ShortCircuitConsumptionDepthMatchesLegacy) {
   const auto result = check(
-      "fused match/find source consumption == legacy", suite_config(150),
-      gen_case, shrink_case, [](const ShapeAndParam& c) -> PropStatus {
+      "match/find source consumption == reference_consumption",
+      suite_config(150), gen_case, shrink_case,
+      [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
         for (const bool use_find : {false, true}) {
-          std::uint64_t pulls[2] = {0, 0};
-          bool any[2] = {false, false};
-          std::optional<std::int64_t> first[2];
-          for (const bool fusion : {false, true}) {
-            std::uint64_t& n = pulls[fusion ? 1 : 0];
-            auto probed = build_source(c.shape)
-                              .with_fusion(fusion)
-                              .peek([&n](const std::int64_t&) { ++n; });
-            auto stream = apply_ops(std::move(probed), c.shape);
-            if (use_find) {
-              first[fusion ? 1 : 0] = std::move(stream).find_first();
-            } else {
-              any[fusion ? 1 : 0] = std::move(stream).any_match(pred);
-            }
+          const std::function<bool(std::int64_t)> stop_at =
+              use_find ? std::function<bool(std::int64_t)>(
+                             [](std::int64_t) { return true; })
+                       : std::function<bool(std::int64_t)>(pred);
+          const std::uint64_t expected =
+              reference_consumption(c.shape, stop_at);
+          std::uint64_t pulls = 0;
+          auto probed = build_source(c.shape).peek(
+              [&pulls](const std::int64_t&) { ++pulls; });
+          auto stream = apply_ops(std::move(probed), c.shape);
+          if (use_find) {
+            (void)std::move(stream).find_first();
+          } else {
+            (void)std::move(stream).any_match(pred);
           }
-          if (any[1] != any[0] || first[1] != first[0]) {
+          if (pulls != expected) {
             return PropStatus::fail(
                 std::string(use_find ? "find_first" : "any_match") +
-                " result diverged: " + c.shape.debug_string());
-          }
-          if (pulls[1] != pulls[0]) {
-            return PropStatus::fail(
-                std::string(use_find ? "find_first" : "any_match") +
-                " fused consumed " + std::to_string(pulls[1]) +
-                " source elements, legacy consumed " +
-                std::to_string(pulls[0]) + ": " + c.shape.debug_string());
+                " consumed " + std::to_string(pulls) +
+                " source elements, reference consumes " +
+                std::to_string(expected) + ": " + c.shape.debug_string());
           }
         }
         return PropStatus::pass();
@@ -155,28 +148,29 @@ TEST(FusionWide, ShortCircuitConsumptionDepthMatchesLegacy) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Routing: every generated shape fuses, so a match terminal must run on
-/// the fused element loop exactly when fusion is enabled.
+/// Routing: a match terminal — parallel or not — runs exactly one
+/// element-loop leaf and never splits.
 TEST(FusionWide, MatchTerminalsRouteThroughFusedLeaves) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
   }
   const auto result = check(
-      "match terminal fused_leaves > 0 == with_fusion", suite_config(80),
-      gen_case, shrink_case, [](const ShapeAndParam& c) -> PropStatus {
+      "match terminal runs one leaf, no splits", suite_config(80), gen_case,
+      shrink_case, [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
-        for (const bool fusion : {false, true}) {
-          const auto before = pls::observe::aggregate_counters();
-          (void)build_stream(c.shape).with_fusion(fusion).any_match(pred);
-          const auto delta = pls::observe::aggregate_counters() - before;
-          if (fusion && delta.fused_leaves == 0) {
-            return PropStatus::fail("fusible match ran the legacy loop: " +
-                                    c.shape.debug_string());
-          }
-          if (!fusion && delta.fused_leaves != 0) {
-            return PropStatus::fail("with_fusion(false) still ran fused: " +
-                                    c.shape.debug_string());
-          }
+        const auto before = pls::observe::aggregate_counters();
+        (void)build_stream(c.shape).parallel().any_match(pred);
+        const auto delta = pls::observe::aggregate_counters() - before;
+        if (delta.leaf_chunks != 1 || delta.splits != 0) {
+          return PropStatus::fail(
+              "match ran " + std::to_string(delta.leaf_chunks) +
+              " leaves over " + std::to_string(delta.splits) +
+              " splits: " + c.shape.debug_string());
+        }
+        if (pls::streams::last_plan().drive !=
+            pls::streams::DriveMode::kElementLoop) {
+          return PropStatus::fail("match plan is not an element loop: " +
+                                  c.shape.debug_string());
         }
         return PropStatus::pass();
       });

@@ -1,7 +1,8 @@
-// Planner ≡ legacy predicates (PR 7): the ExecutionPlan verdicts recorded
-// by the unified evaluate() entry must coincide with the scattered
-// predicates they replaced — expects_fusion_admission and
-// expects_dps_admission over generated pipelines — and planning must be
+// Planner ≡ shape predicates: the ExecutionPlan verdicts recorded by the
+// unified evaluate() entry must coincide with predicates computed from
+// the generated shape alone — every pipeline fuses, with the chain flags
+// the shape implies, and DPS admits exactly expects_dps_admission — and
+// planning must be
 // deterministic (same shape, same plan). Also exercises PlanCache replay:
 // an installed profile must be consumed by the next auto-grain plan for
 // the same shape key, and never coarsen the grain past the default.
@@ -44,22 +45,31 @@ streams::ExecutionPlan plan_of(const PipelineShape& s,
   return streams::last_plan();
 }
 
-/// The planner's fusion verdict matches the legacy admission predicate
-/// for every generated shape.
+/// Every generated shape fuses, and the plan's chain summary matches the
+/// shape: the fused chain is the ops after the last sorted (plus the
+/// bounding limit of an Iterate source when no sorted cuts it off).
 TEST(PlanEquivalence, FusionVerdictMatchesLegacyPredicate) {
   const auto result = check(
-      "plan.fused == expects_fusion_admission", suite_config(150),
+      "plan.fused && chain flags == shape flags", suite_config(150),
       [](Rand& r) { return gen_pipeline(r, 10); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
         const auto plan = plan_of(s);
-        if (plan.fused != expects_fusion_admission(s)) {
-          return PropStatus::fail(
-              plan.fused ? "planner fused a shape the legacy gate refused"
-                         : "planner refused a shape the legacy gate fused");
+        if (!plan.fused) {
+          return PropStatus::fail("stream plan not fused: " +
+                                  s.debug_string());
         }
-        if (plan.fused && plan.fusion_reason != streams::PlanReason::kAdmitted) {
-          return PropStatus::fail("fused plan carries a refusal reason");
+        const std::size_t start = fused_chain_start(s);
+        PipelineShape chain = s;
+        chain.ops.assign(s.ops.begin() + static_cast<std::ptrdiff_t>(start),
+                         s.ops.end());
+        const bool source_limit =
+            start == 0 && s.source == SourceKind::kIterate;
+        if (plan.cancels != (source_limit || chain_cancels(chain)) ||
+            plan.stateful != expects_stateful_chain(s) ||
+            plan.one_to_one != (!source_limit && chain_is_one_to_one(chain))) {
+          return PropStatus::fail("plan chain flags disagree with the shape: " +
+                                  s.debug_string());
         }
         return PropStatus::pass();
       });
@@ -118,7 +128,6 @@ TEST(PlanEquivalence, PlanningIsDeterministic) {
         const auto a = plan_of(s);
         const auto b = plan_of(s);
         if (a.fused != b.fused || a.dps != b.dps ||
-            a.fusion_reason != b.fusion_reason ||
             a.dps_reason != b.dps_reason || a.grain != b.grain ||
             a.drive != b.drive || a.kernel != b.kernel ||
             a.cache_key != b.cache_key || a.explain() != b.explain()) {

@@ -5,7 +5,7 @@
 // fig4 4-map shape) is driven with randomized data, chunk sizes and
 // execution modes, asserting
 //
-//   static-fused == static-fallback == dynamic-fused == dynamic-legacy
+//   static == dynamic == reference (the same ops as plain vector loops)
 //
 // bit-identically for int64 stacks (and for the double-producing stack,
 // whose per-element operations are evaluated in identical order on every
@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "forkjoin/pool.hpp"
@@ -72,63 +73,72 @@ std::vector<Input> shrink_input(const Input& in) {
 }
 
 Stream<std::int64_t> configured(const std::vector<std::int64_t>& data,
-                                bool parallel, bool sized_sink, bool fusion,
+                                bool parallel, bool sized_sink,
                                 std::uint64_t chunk,
                                 pls::forkjoin::ForkJoinPool& pool) {
-  auto s = Stream<std::int64_t>::of(data)
-               .with_fusion(fusion)
-               .with_sized_sink(sized_sink);
+  auto s = Stream<std::int64_t>::of(data).with_sized_sink(sized_sink);
   if (parallel) {
     s = std::move(s).parallel().via(pool).with_min_chunk(chunk);
   }
   return s;
 }
 
+/// Plain-loop twin of the Stream ops the stacks use: each op runs eagerly
+/// over a vector, independent of the streams machinery. Passing one to a
+/// stack's `apply_dyn` yields the reference result.
+template <typename T>
+struct Reference {
+  std::vector<T> values;
+
+  template <typename Fn>
+  auto map(Fn fn) && {
+    Reference<std::invoke_result_t<Fn&, const T&>> out;
+    for (const T& v : values) out.values.push_back(fn(v));
+    return out;
+  }
+  template <typename Pred>
+  Reference filter(Pred pred) && {
+    Reference out;
+    for (const T& v : values) {
+      if (pred(v)) out.values.push_back(v);
+    }
+    return out;
+  }
+  template <typename Fn>
+  Reference peek(Fn fn) && {
+    for (const T& v : values) fn(v);
+    return std::move(*this);
+  }
+  std::vector<T> to_vector() && { return std::move(values); }
+};
+
 /// Drive one canonical stack through every mode x route combination.
 /// `make_static` turns a configured Stream into a StaticPipeline (the
-/// static route; with fusion off it exercises the documented fallback);
-/// `apply_dyn` applies the identical ops through the dynamic Stream API.
+/// static route); `apply_dyn` applies the identical ops through the
+/// dynamic Stream API — or, over a Reference, through plain loops.
 template <typename MakeStatic, typename ApplyDyn>
 std::optional<std::string> check_stack(const char* label, const Input& in,
                                        pls::forkjoin::ForkJoinPool& pool,
                                        MakeStatic make_static,
                                        ApplyDyn apply_dyn) {
   const auto expected =
-      apply_dyn(configured(in.data, false, false, false, in.chunk, pool))
-          .to_vector();
+      apply_dyn(Reference<std::int64_t>{in.data}).to_vector();
   for (const bool parallel : {false, true}) {
     for (const bool sized_sink : {false, true}) {
       if (!parallel && sized_sink) continue;  // same sequential route
       const auto mode = std::string(parallel ? "parallel" : "sequential") +
                         (sized_sink ? "+dps" : "");
       const auto stat =
-          make_static(
-              configured(in.data, parallel, sized_sink, true, in.chunk, pool))
+          make_static(configured(in.data, parallel, sized_sink, in.chunk, pool))
               .to_vector();
       if (stat != expected) {
-        return std::string(label) + " static-fused diverged (" + mode + ")";
-      }
-      const auto fallback =
-          make_static(
-              configured(in.data, parallel, sized_sink, false, in.chunk, pool))
-              .to_vector();
-      if (fallback != expected) {
-        return std::string(label) + " static-fallback diverged (" + mode +
-               ")";
+        return std::string(label) + " static diverged (" + mode + ")";
       }
       const auto dyn =
-          apply_dyn(
-              configured(in.data, parallel, sized_sink, true, in.chunk, pool))
+          apply_dyn(configured(in.data, parallel, sized_sink, in.chunk, pool))
               .to_vector();
       if (dyn != expected) {
-        return std::string(label) + " dynamic-fused diverged (" + mode + ")";
-      }
-      const auto leg =
-          apply_dyn(
-              configured(in.data, parallel, sized_sink, false, in.chunk, pool))
-              .to_vector();
-      if (leg != expected) {
-        return std::string(label) + " dynamic-legacy diverged (" + mode + ")";
+        return std::string(label) + " dynamic diverged (" + mode + ")";
       }
     }
   }
@@ -140,7 +150,7 @@ std::optional<std::string> check_stack(const char* label, const Input& in,
 TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "static == dynamic == legacy x {seq, fj, dps}", suite_config(60),
+      "static == dynamic == reference x {seq, fj, dps}", suite_config(60),
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
         std::optional<std::string> err;
 
@@ -267,7 +277,7 @@ TEST(StaticDifferential, PeekObservationParity) {
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
         std::int64_t static_count = 0, static_sum = 0;
         std::int64_t dyn_count = 0, dyn_sum = 0;
-        (void)configured(in.data, false, false, true, in.chunk, pool)
+        (void)configured(in.data, false, false, in.chunk, pool)
             .stages(map([](std::int64_t v) { return v + 2; }),
                     peek([&](const std::int64_t& v) {
                       ++static_count;
@@ -275,7 +285,7 @@ TEST(StaticDifferential, PeekObservationParity) {
                     }),
                     filter([](std::int64_t v) { return v % 2 == 0; }))
             .to_vector();
-        (void)configured(in.data, false, false, true, in.chunk, pool)
+        (void)configured(in.data, false, false, in.chunk, pool)
             .map([](std::int64_t v) { return v + 2; })
             .peek([&](const std::int64_t& v) {
               ++dyn_count;
@@ -293,38 +303,42 @@ TEST(StaticDifferential, PeekObservationParity) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Terminals beyond to_vector: count and reduce agree between the static
-/// and dynamic routes in both execution modes.
+/// Terminals beyond to_vector: count and reduce of the static and dynamic
+/// routes equal plain loops in both execution modes.
 TEST(StaticDifferential, CountAndReduceAgree) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "static count/reduce == dynamic count/reduce", suite_config(60),
+      "static count/reduce == dynamic == reference", suite_config(60),
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
         for (const bool parallel : {false, true}) {
           const auto static_count =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .stages(filter([](std::int64_t v) { return v % 7 != 3; }))
                   .count();
           const auto dyn_count =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .filter([](std::int64_t v) { return v % 7 != 3; })
                   .count();
-          if (static_count != dyn_count) {
-            return PropStatus::fail("count diverged");
+          std::uint64_t ref_count = 0;
+          for (const std::int64_t v : in.data) ref_count += v % 7 != 3;
+          if (static_count != ref_count || dyn_count != ref_count) {
+            return PropStatus::fail("count diverged from reference");
           }
           const auto xor_op = [](std::int64_t a, std::int64_t b) {
             return a ^ b;
           };
           const auto static_xor =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .stages(map([](std::int64_t v) { return v * 5 + 1; }))
                   .reduce(std::int64_t{0}, xor_op);
           const auto dyn_xor =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .map([](std::int64_t v) { return v * 5 + 1; })
                   .reduce(std::int64_t{0}, xor_op);
-          if (static_xor != dyn_xor) {
-            return PropStatus::fail("xor-reduce diverged");
+          std::int64_t ref_xor = 0;
+          for (const std::int64_t v : in.data) ref_xor ^= v * 5 + 1;
+          if (static_xor != ref_xor || dyn_xor != ref_xor) {
+            return PropStatus::fail("xor-reduce diverged from reference");
           }
         }
         return PropStatus::pass();

@@ -1,10 +1,10 @@
 // Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"):
-// terminal evaluation strips fusable wrapper chains into a FusedPipeline
-// and drives one sink chain per leaf. These tests pin the contract:
-// results are bit-identical to the wrapper walk, short-circuit chains
-// consume exactly as deep into the source as the wrappers did, the
-// admission gate routes non-fusible shapes back to the wrappers, and the
-// fused_leaves counter records which route every leaf took.
+// terminal evaluation strips every wrapper chain into a FusedPipeline and
+// drives one sink chain per leaf. These tests pin the contract against
+// plain-loop expectations: results are exact, short-circuit chains
+// consume exactly as deep into the source as an element-at-a-time
+// evaluation must, every source shape — concat and unsized iterate
+// included — runs fused, and the leaf counters add up.
 #include "streams/fusion.hpp"
 
 #include <gtest/gtest.h>
@@ -38,96 +38,99 @@ CounterTotals counters_now() { return pls::observe::aggregate_counters(); }
 
 TEST(Fusion, MapChainMatchesLegacyOnArraySource) {
   const auto data = iota(1000);  // non-power-of-two: supplier/combiner path
-  const auto run = [&](bool fusion) {
-    return Stream<long>::of(data)
-        .with_fusion(fusion)
-        .map([](long v) { return v * 3; })
-        .map([](long v) { return v - 7; })
-        .map([](long v) { return v ^ 0x55; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  std::vector<long> expected;
+  for (long v : data) expected.push_back(((v * 3) - 7) ^ 0x55);
+  EXPECT_EQ(Stream<long>::of(data)
+                .map([](long v) { return v * 3; })
+                .map([](long v) { return v - 7; })
+                .map([](long v) { return v ^ 0x55; })
+                .to_vector(),
+            expected);
 }
 
 TEST(Fusion, MapFilterPeekChainMatchesLegacy) {
-  std::atomic<std::uint64_t> seen_fused{0};
-  std::atomic<std::uint64_t> seen_legacy{0};
-  const auto run = [&](bool fusion, std::atomic<std::uint64_t>& seen) {
-    return Stream<long>::range(0, 777)
-        .with_fusion(fusion)
-        .map([](long v) { return v * 2 + 1; })
-        .filter([](long v) { return v % 3 != 0; })
-        .peek([&seen](const long&) {
-          seen.fetch_add(1, std::memory_order_relaxed);
-        })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true, seen_fused), run(false, seen_legacy));
-  EXPECT_EQ(seen_fused.load(), seen_legacy.load());
+  std::vector<long> expected;
+  for (long v = 0; v < 777; ++v) {
+    if ((v * 2 + 1) % 3 != 0) expected.push_back(v * 2 + 1);
+  }
+  std::atomic<std::uint64_t> seen{0};
+  EXPECT_EQ(Stream<long>::range(0, 777)
+                .map([](long v) { return v * 2 + 1; })
+                .filter([](long v) { return v % 3 != 0; })
+                .peek([&seen](const long&) {
+                  seen.fetch_add(1, std::memory_order_relaxed);
+                })
+                .to_vector(),
+            expected);
+  EXPECT_EQ(seen.load(), expected.size());
 }
 
 TEST(Fusion, TypeChangingMapChainMatchesLegacy) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::generate([](std::uint64_t i) { return long(i); },
-                                  300)
-        .with_fusion(fusion)
-        .map([](long v) { return double(v) * 0.5; })
-        .map([](double v) { return std::to_string(v); })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  std::vector<std::string> expected;
+  for (long v = 0; v < 300; ++v) {
+    expected.push_back(std::to_string(double(v) * 0.5));
+  }
+  EXPECT_EQ(Stream<long>::generate([](std::uint64_t i) { return long(i); },
+                                   300)
+                .map([](long v) { return double(v) * 0.5; })
+                .map([](double v) { return std::to_string(v); })
+                .to_vector(),
+            expected);
 }
 
 TEST(Fusion, ParallelTerminalsMatchLegacyAcrossChunkSizes) {
   pls::forkjoin::ForkJoinPool pool(3);
   const auto data = iota(1 << 10);
+  std::vector<long> expected;
+  for (long v : data) {
+    if (((v * v) & 3) != 0) expected.push_back(v * v);
+  }
   for (const std::uint64_t chunk : {1ull, 7ull, 64ull, 2000ull}) {
-    const auto run = [&](bool fusion) {
-      return Stream<long>::of(data)
-          .parallel()
-          .via(pool)
-          .with_min_chunk(chunk)
-          .with_fusion(fusion)
-          .map([](long v) { return v * v; })
-          .filter([](long v) { return (v & 3) != 0; })
-          .to_vector();
-    };
-    EXPECT_EQ(run(true), run(false)) << "min_chunk=" << chunk;
+    EXPECT_EQ(Stream<long>::of(data)
+                  .parallel()
+                  .via(pool)
+                  .with_min_chunk(chunk)
+                  .map([](long v) { return v * v; })
+                  .filter([](long v) { return (v & 3) != 0; })
+                  .to_vector(),
+              expected)
+        << "min_chunk=" << chunk;
   }
 }
 
 TEST(Fusion, ReduceForEachCountAndSumMatchLegacy) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto data = iota(513);
-  const auto base = [&](bool fusion) {
-    return Stream<long>::of(data).with_fusion(fusion).map(
-        [](long v) { return v ^ (v << 3); });
+  long x = 0;
+  long sum = 0;
+  for (long v : data) {
+    x ^= v ^ (v << 3);
+    sum += v ^ (v << 3);
+  }
+  const auto base = [&] {
+    return Stream<long>::of(data).map([](long v) { return v ^ (v << 3); });
   };
-  EXPECT_EQ(base(true).reduce([](long a, long b) { return a ^ b; }),
-            base(false).reduce([](long a, long b) { return a ^ b; }));
-  EXPECT_EQ(base(true).count(), base(false).count());
-  EXPECT_EQ(std::move(base(true).parallel().via(pool)).sum(),
-            std::move(base(false).parallel().via(pool)).sum());
-  std::atomic<long> acc_fused{0};
-  base(true).parallel().via(pool).for_each([&](const long& v) {
-    acc_fused.fetch_add(v, std::memory_order_relaxed);
+  EXPECT_EQ(base().reduce([](long a, long b) { return a ^ b; }), x);
+  EXPECT_EQ(base().count(), data.size());
+  EXPECT_EQ(base().parallel().via(pool).with_min_chunk(16).count(),
+            data.size());
+  EXPECT_EQ(std::move(base().parallel().via(pool)).sum(), sum);
+  std::atomic<long> acc{0};
+  base().parallel().via(pool).for_each([&](const long& v) {
+    acc.fetch_add(v, std::memory_order_relaxed);
   });
-  std::atomic<long> acc_legacy{0};
-  base(false).parallel().via(pool).for_each([&](const long& v) {
-    acc_legacy.fetch_add(v, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(acc_fused.load(), acc_legacy.load());
+  EXPECT_EQ(acc.load(), sum);
 }
 
 TEST(Fusion, EmptyAndSingletonSources) {
   for (const long n : {0L, 1L}) {
-    const auto run = [&](bool fusion) {
-      return Stream<long>::range(0, n)
-          .with_fusion(fusion)
-          .map([](long v) { return v + 1; })
-          .to_vector();
-    };
-    EXPECT_EQ(run(true), run(false)) << "n=" << n;
+    std::vector<long> expected;
+    for (long v = 0; v < n; ++v) expected.push_back(v + 1);
+    EXPECT_EQ(Stream<long>::range(0, n)
+                  .map([](long v) { return v + 1; })
+                  .to_vector(),
+              expected)
+        << "n=" << n;
   }
 }
 
@@ -135,95 +138,77 @@ TEST(Fusion, EmptyAndSingletonSources) {
 
 TEST(Fusion, LimitConsumesExactlyAsDeepAsLegacy) {
   // A counting peek below the slice observes source consumption depth:
-  // the fused cancellable driver must pull exactly as many elements out
-  // of the source as the wrapper chain did.
-  const auto consumed = [&](bool fusion) {
-    std::uint64_t pulls = 0;
-    auto out = Stream<long>::range(0, 10000)
-                   .with_fusion(fusion)
-                   .peek([&pulls](const long&) { ++pulls; })
-                   .limit(37)
-                   .to_vector();
-    EXPECT_EQ(out.size(), 37u);
-    return pulls;
-  };
-  EXPECT_EQ(consumed(true), consumed(false));
+  // the cancellable driver must pull exactly the 37 elements it emits.
+  std::uint64_t pulls = 0;
+  auto out = Stream<long>::range(0, 10000)
+                 .peek([&pulls](const long&) { ++pulls; })
+                 .limit(37)
+                 .to_vector();
+  EXPECT_EQ(out.size(), 37u);
+  EXPECT_EQ(pulls, 37u);
 }
 
 TEST(Fusion, SkipThenLimitMatchesLegacy) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 500)
-        .with_fusion(fusion)
-        .skip(100)
-        .limit(50)
-        .map([](long v) { return v * 11; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  std::vector<long> expected;
+  for (long v = 100; v < 150; ++v) expected.push_back(v * 11);
+  EXPECT_EQ(Stream<long>::range(0, 500)
+                .skip(100)
+                .limit(50)
+                .map([](long v) { return v * 11; })
+                .to_vector(),
+            expected);
 }
 
 TEST(Fusion, TakeWhileStopsAtFirstFailureLikeLegacy) {
-  const auto consumed = [&](bool fusion) {
-    std::uint64_t pulls = 0;
-    auto out = Stream<long>::range(0, 10000)
-                   .with_fusion(fusion)
-                   .peek([&pulls](const long&) { ++pulls; })
-                   .take_while([](long v) { return v < 123; })
-                   .to_vector();
-    EXPECT_EQ(out.size(), 123u);
-    return pulls;
-  };
-  // take_while consumes through the first failing element (124 pulls).
-  EXPECT_EQ(consumed(true), consumed(false));
+  std::uint64_t pulls = 0;
+  auto out = Stream<long>::range(0, 10000)
+                 .peek([&pulls](const long&) { ++pulls; })
+                 .take_while([](long v) { return v < 123; })
+                 .to_vector();
+  EXPECT_EQ(out.size(), 123u);
+  // take_while consumes through the first failing element.
+  EXPECT_EQ(pulls, 124u);
 }
 
 TEST(Fusion, CancellingChainsRefuseToSplitInParallelMode) {
   // limit in a parallel pipeline: the fused chain must stay a single
-  // leaf (as the SliceSpliterator wrapper does) and still be exact.
+  // leaf (splitting would lose the prefix order) and still be exact.
   pls::forkjoin::ForkJoinPool pool(4);
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 1 << 12)
-        .parallel()
-        .via(pool)
-        .with_min_chunk(8)
-        .with_fusion(fusion)
-        .map([](long v) { return v + 1; })
-        .limit(100)
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-// ---- admission and routing -------------------------------------------
-
-TEST(Fusion, FusedLeavesCounterRecordsRouting) {
-  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
-  const auto data = iota(256);
-  {
-    const CounterTotals before = counters_now();
-    (void)Stream<long>::of(data)
-        .with_fusion(true)
-        .with_sized_sink(false)
-        .map([](long v) { return v * 2; })
-        .to_vector();
+  std::vector<long> expected;
+  for (long v = 0; v < 100; ++v) expected.push_back(v + 1);
+  const CounterTotals before = counters_now();
+  EXPECT_EQ(Stream<long>::range(0, 1 << 12)
+                .parallel()
+                .via(pool)
+                .with_min_chunk(8)
+                .map([](long v) { return v + 1; })
+                .limit(100)
+                .to_vector(),
+            expected);
+  if (pls::observe::kEnabled) {
     const CounterTotals delta = counters_now() - before;
-    EXPECT_EQ(delta.fused_leaves, 1u);
     EXPECT_EQ(delta.leaf_chunks, 1u);
-    EXPECT_EQ(delta.elements_accumulated, 256u);
-  }
-  {
-    const CounterTotals before = counters_now();
-    (void)Stream<long>::of(data)
-        .with_fusion(false)
-        .with_sized_sink(false)
-        .map([](long v) { return v * 2; })
-        .to_vector();
-    const CounterTotals delta = counters_now() - before;
-    EXPECT_EQ(delta.fused_leaves, 0u);
-    EXPECT_EQ(delta.leaf_chunks, 1u);
-    EXPECT_EQ(delta.elements_accumulated, 256u);
+    EXPECT_EQ(delta.splits, 0u);
   }
 }
+
+TEST(Fusion, DropWhileDropsOnlyTheLeadingRun) {
+  pls::forkjoin::ForkJoinPool pool(2);
+  std::vector<long> expected;
+  for (long v = 0; v < 300; ++v) {
+    if (v >= 40) expected.push_back((v % 50) * 2);
+  }
+  for (const bool parallel : {false, true}) {
+    auto s = Stream<long>::range(0, 300)
+                 .map([](long v) { return v % 50; })
+                 .drop_while([](long v) { return v < 40; })
+                 .map([](long v) { return v * 2; });
+    if (parallel) s = std::move(s).parallel().via(pool).with_min_chunk(8);
+    EXPECT_EQ(std::move(s).to_vector(), expected) << "parallel=" << parallel;
+  }
+}
+
+// ---- every source shape fuses ----------------------------------------
 
 TEST(Fusion, ParallelFusedLeafCountMatchesLeafChunks) {
   if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
@@ -233,64 +218,73 @@ TEST(Fusion, ParallelFusedLeafCountMatchesLeafChunks) {
       .parallel()
       .via(pool)
       .with_min_chunk(64)
-      .with_fusion(true)
       .map([](long v) { return v + 3; })
       .to_vector();
   const CounterTotals delta = counters_now() - before;
+  EXPECT_EQ(delta.leaf_chunks, delta.splits + 1);
   EXPECT_GT(delta.leaf_chunks, 1u);
-  EXPECT_EQ(delta.fused_leaves, delta.leaf_chunks);
   EXPECT_EQ(delta.elements_accumulated, 1u << 10);
 }
 
-TEST(Fusion, ConcatBottomedChainFallsBackToWrappers) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::concat(Stream<long>::range(0, 100),
-                                Stream<long>::range(200, 300))
-        .with_fusion(fusion)
-        .map([](long v) { return v * 5; })
-        .to_vector();
-  };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
-  if (pls::observe::kEnabled) {
+TEST(Fusion, ConcatBottomedChainFuses) {
+  // concat names no destination window, so it collects through the
+  // supplier/combiner walk — split at the concat boundary first.
+  pls::forkjoin::ForkJoinPool pool(2);
+  std::vector<long> expected;
+  for (long v = 0; v < 100; ++v) expected.push_back(v * 5);
+  for (long v = 200; v < 300; ++v) expected.push_back(v * 5);
+  for (const bool parallel : {false, true}) {
+    auto s = Stream<long>::concat(Stream<long>::range(0, 100),
+                                  Stream<long>::range(200, 300))
+                 .map([](long v) { return v * 5; });
+    if (parallel) s = std::move(s).parallel().via(pool).with_min_chunk(16);
     const CounterTotals before = counters_now();
-    (void)run(true);
-    const CounterTotals delta = counters_now() - before;
-    EXPECT_EQ(delta.fused_leaves, 0u);  // concat names no window
+    EXPECT_EQ(std::move(s).to_vector(), expected) << "parallel=" << parallel;
+    if (pls::observe::kEnabled) {
+      const CounterTotals delta = counters_now() - before;
+      EXPECT_EQ(delta.elements_accumulated, 200u);
+      if (parallel) {
+        EXPECT_GT(delta.leaf_chunks, 2u);
+      }
+    }
   }
+  EXPECT_FALSE(pls::streams::last_plan().dps);
 }
 
-TEST(Fusion, UnsizedIterateTailFallsBackToWrappers) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::iterate(1L, [](long v) { return v * 2; })
-        .with_fusion(fusion)
-        .map([](long v) { return v + 1; })
-        .limit(20)
-        .to_vector();
-  };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
-  EXPECT_EQ(fused.size(), 20u);
+TEST(Fusion, UnsizedIterateTailFuses) {
+  std::vector<long> expected;
+  for (long v = 1, i = 0; i < 20; ++i, v *= 2) expected.push_back(v + 1);
+  const CounterTotals before = counters_now();
+  const auto out = Stream<long>::iterate(1L, [](long v) { return v * 2; })
+                       .parallel()
+                       .map([](long v) { return v + 1; })
+                       .limit(20)
+                       .to_vector();
+  EXPECT_EQ(out, expected);
+  const auto& plan = pls::streams::last_plan();
+  EXPECT_FALSE(plan.sized);
+  EXPECT_EQ(plan.drive, pls::streams::DriveMode::kElementLoop);
+  if (pls::observe::kEnabled) {
+    const CounterTotals delta = counters_now() - before;
+    EXPECT_EQ(delta.leaf_chunks, 1u);
+    EXPECT_EQ(delta.elements_accumulated, 0u);  // unsized: uncounted
+  }
 }
 
 TEST(Fusion, FlatMapChainFusesAsMultiAcceptStage) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 64)
-        .with_fusion(fusion)
-        .flat_map([](const long& v) {
-          return std::vector<long>{v, v + 1};
-        })
-        .map([](long v) { return v * 7; })
-        .to_vector();
-  };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
-  if (pls::observe::kEnabled) {
-    const CounterTotals before = counters_now();
-    (void)run(true);
-    const CounterTotals delta = counters_now() - before;
-    EXPECT_GT(delta.fused_leaves, 0u);  // flat_map is a fusable fan-out
+  std::vector<long> expected;
+  for (long v = 0; v < 64; ++v) {
+    expected.push_back(v * 7);
+    expected.push_back((v + 1) * 7);
   }
+  EXPECT_EQ(Stream<long>::range(0, 64)
+                .flat_map([](const long& v) {
+                  return std::vector<long>{v, v + 1};
+                })
+                .map([](long v) { return v * 7; })
+                .to_vector(),
+            expected);
+  EXPECT_EQ(pls::streams::last_plan().stages, 2u);
 }
 
 // ---- fused destination-passing collect -------------------------------
@@ -298,21 +292,18 @@ TEST(Fusion, FlatMapChainFusesAsMultiAcceptStage) {
 TEST(Fusion, FusedDpsCollectMatchesAllOtherRoutes) {
   pls::forkjoin::ForkJoinPool pool(3);
   const auto data = iota(1 << 11);  // power of two: DPS-admissible
-  std::vector<std::vector<long>> results;
-  for (const bool fusion : {false, true}) {
+  std::vector<long> expected;
+  for (long v : data) expected.push_back(v * 13 + 1);
+  for (const bool parallel : {false, true}) {
     for (const bool sized_sink : {false, true}) {
-      results.push_back(Stream<long>::of(data)
-                            .parallel()
-                            .via(pool)
-                            .with_min_chunk(32)
-                            .with_fusion(fusion)
-                            .with_sized_sink(sized_sink)
-                            .map([](long v) { return v * 13 + 1; })
-                            .to_vector());
+      auto s = Stream<long>::of(data)
+                   .with_sized_sink(sized_sink)
+                   .map([](long v) { return v * 13 + 1; });
+      if (parallel) s = std::move(s).parallel().via(pool).with_min_chunk(32);
+      EXPECT_EQ(std::move(s).to_vector(), expected)
+          << "parallel=" << parallel << " sized_sink=" << sized_sink;
+      EXPECT_EQ(pls::streams::last_plan().dps, sized_sink);
     }
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "route " << i;
   }
 }
 
@@ -324,13 +315,13 @@ TEST(Fusion, FusedDpsLeavesAreCountedFused) {
       .parallel()
       .via(pool)
       .with_min_chunk(64)
-      .with_fusion(true)
       .with_sized_sink(true)
       .map([](long v) { return v + 1; })
       .to_vector();
   const CounterTotals delta = counters_now() - before;
-  EXPECT_GT(delta.fused_leaves, 1u);
-  EXPECT_EQ(delta.fused_leaves, delta.leaf_chunks);
+  EXPECT_EQ(delta.leaf_chunks, 16u);
+  EXPECT_EQ(delta.elements_accumulated, 1u << 10);
+  EXPECT_EQ(delta.combines, 0u);
 }
 
 // ---- chunked vs element transport ------------------------------------
@@ -355,14 +346,13 @@ TEST(Fusion, LargeArrayChunksSpanMultipleFusionBuffers) {
   // > kFusionChunk elements through a Generate source exercises the
   // buffered transport's flush-and-refill path.
   const std::uint64_t n = pls::streams::kFusionChunk * 3 + 17;
-  const auto run = [&](bool fusion) {
-    return Stream<std::uint64_t>::generate(
-               [](std::uint64_t i) { return i * i; }, n)
-        .with_fusion(fusion)
-        .map([](std::uint64_t v) { return v ^ 0xdeadbeef; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t i = 0; i < n; ++i) expected.push_back((i * i) ^ 0xdeadbeef);
+  EXPECT_EQ(Stream<std::uint64_t>::generate(
+                [](std::uint64_t i) { return i * i; }, n)
+                .map([](std::uint64_t v) { return v ^ 0xdeadbeef; })
+                .to_vector(),
+            expected);
 }
 
 }  // namespace

@@ -42,6 +42,26 @@ std::unique_ptr<streams::Spliterator<int>> array_source(std::size_t n) {
   return std::make_unique<ArraySpliterator<int>>(ints(n));
 }
 
+/// Fuse `sp` (consuming it) and plan a terminal over the fused form, the
+/// way evaluate() does.
+struct Planned {
+  ExecutionPlan plan;
+  std::unique_ptr<streams::FusedPipeline> fused;
+};
+
+Planned plan_pipeline(std::unique_ptr<streams::Spliterator<int>>& sp,
+                      TerminalKind kind, bool collector_sized,
+                      bool chunk_collector, bool parallel,
+                      const ExecutionConfig& cfg) {
+  Planned out;
+  out.fused = streams::fuse_pipeline<int>(sp);
+  out.plan =
+      streams::plan_fused_pipeline(*out.fused, kind, collector_sized,
+                                   chunk_collector, parallel, cfg,
+                                   PlanOrigin::kDynamic);
+  return out;
+}
+
 // ---- DPS admission (plan_dps_window) --------------------------------
 
 TEST(PlanDpsWindow, AdmitsPowerOfTwoWindowedSource) {
@@ -56,18 +76,18 @@ TEST(PlanDpsWindow, RejectsNonPowerOfTwo) {
   EXPECT_FALSE(streams::plan_dps_window(sp).has_value());
 }
 
-// ---- plan_pipeline verdicts -----------------------------------------
+// ---- plan verdicts --------------------------------------------------
 
 TEST(PlanPipeline, FusedDpsCollectPlan) {
   auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, /*collector_sized=*/true,
       /*chunk_collector=*/false, /*parallel=*/false, cfg);
   ASSERT_NE(planned.fused, nullptr);
   const ExecutionPlan& p = planned.plan;
   EXPECT_TRUE(p.fused);
-  EXPECT_EQ(p.fusion_reason, PlanReason::kAdmitted);
+  EXPECT_EQ(sp, nullptr);  // fusion consumed the source
   EXPECT_TRUE(p.dps);
   EXPECT_EQ(p.dps_reason, PlanReason::kAdmitted);
   ASSERT_TRUE(p.window.has_value());
@@ -76,22 +96,38 @@ TEST(PlanPipeline, FusedDpsCollectPlan) {
   EXPECT_EQ(p.grain_source, GrainSource::kNone);
 }
 
-TEST(PlanPipeline, FusionOffGivesLegacyPlanWithReason) {
-  auto sp = array_source(64);
-  const auto cfg = ExecutionConfig{}.with_fusion(false);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, false, cfg);
-  EXPECT_EQ(planned.fused, nullptr);
-  EXPECT_NE(sp, nullptr);  // source untouched on refusal
-  EXPECT_FALSE(planned.plan.fused);
-  EXPECT_EQ(planned.plan.fusion_reason, PlanReason::kDisabledByConfig);
-  EXPECT_TRUE(planned.plan.dps);  // DPS still admits through the wrapper
+TEST(PlanPipeline, UnsizedAndWindowlessSourcesFuseWithDpsReason) {
+  // Every source fuses; its shape only decides DPS admission.
+  {
+    auto s = streams::Stream<int>::iterate(0, [](int v) { return v + 1; })
+                 .limit(16);
+    const auto out = std::move(s).to_vector();
+    EXPECT_EQ(out.size(), 16u);
+    const ExecutionPlan& p = streams::last_plan();
+    EXPECT_TRUE(p.fused);
+    EXPECT_FALSE(p.sized);
+    EXPECT_EQ(p.stages, 1u);  // the limit
+    EXPECT_EQ(p.dps_reason, PlanReason::kChainNotOneToOne);
+  }
+  {
+    const auto out =
+        streams::Stream<int>::concat(streams::Stream<int>::range(0, 8),
+                                     streams::Stream<int>::range(8, 16))
+            .to_vector();
+    EXPECT_EQ(out.size(), 16u);
+    const ExecutionPlan& p = streams::last_plan();
+    EXPECT_TRUE(p.fused);
+    EXPECT_TRUE(p.sized && p.subsized);
+    EXPECT_FALSE(p.windowed);
+    EXPECT_FALSE(p.dps);
+    EXPECT_EQ(p.dps_reason, PlanReason::kSourceNotWindowed);
+  }
 }
 
 TEST(PlanPipeline, NonCollectTerminalNeverDps) {
   auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCount, false, false, false, cfg);
   EXPECT_FALSE(planned.plan.dps);
   EXPECT_EQ(planned.plan.dps_reason, PlanReason::kTerminalNotCollect);
@@ -100,7 +136,7 @@ TEST(PlanPipeline, NonCollectTerminalNeverDps) {
 TEST(PlanPipeline, SizedSinkOffIsDisabledByConfig) {
   auto sp = array_source(64);
   const auto cfg = ExecutionConfig{}.with_sized_sink(false);
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, true, false, false, cfg);
   EXPECT_FALSE(planned.plan.dps);
   EXPECT_EQ(planned.plan.dps_reason, PlanReason::kDisabledByConfig);
@@ -109,7 +145,7 @@ TEST(PlanPipeline, SizedSinkOffIsDisabledByConfig) {
 TEST(PlanPipeline, NonPowerOfTwoRefusesDpsWithReason) {
   auto sp = array_source(48);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, true, false, false, cfg);
   EXPECT_FALSE(planned.plan.dps);
   EXPECT_EQ(planned.plan.dps_reason, PlanReason::kNotPowerOfTwo);
@@ -121,7 +157,7 @@ TEST(PlanGrain, ExplicitMinChunkWins) {
   pls::forkjoin::ForkJoinPool pool(2);
   auto sp = array_source(1024);
   const auto cfg = ExecutionConfig{}.with_pool(pool).with_min_chunk(17);
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, true, false, /*parallel=*/true, cfg);
   EXPECT_EQ(planned.plan.grain, 17u);
   EXPECT_EQ(planned.plan.grain_source, GrainSource::kExplicit);
@@ -131,7 +167,7 @@ TEST(PlanGrain, DefaultIsJavaQuarterRule) {
   pls::forkjoin::ForkJoinPool pool(2);
   auto sp = array_source(1024);
   const auto cfg = ExecutionConfig{}.with_pool(pool);
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, true, false, true, cfg);
   EXPECT_EQ(planned.plan.grain, streams::default_grain(1024, 2));
   EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
@@ -146,7 +182,7 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   // Without a profile: identical to the default plan.
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
+    auto planned = plan_pipeline(
         sp, TerminalKind::kCollect, true, false, true, cfg);
     EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
   }
@@ -156,7 +192,7 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   std::uint64_t key = 0;
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
+    auto planned = plan_pipeline(
         sp, TerminalKind::kCollect, true, false, true, cfg);
     key = planned.plan.cache_key;
   }
@@ -168,7 +204,7 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   PlanCache::global().put(key, prof);
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
+    auto planned = plan_pipeline(
         sp, TerminalKind::kCollect, true, false, true, cfg);
     EXPECT_EQ(planned.plan.grain_source, GrainSource::kAutoTuned);
     EXPECT_EQ(planned.plan.grain, prof.tuned_grain);
@@ -213,9 +249,9 @@ TEST(PlanDeterminism, SameShapeSamePlan) {
   const auto cfg = ExecutionConfig{}.with_pool(pool);
   auto a_sp = array_source(256);
   auto b_sp = array_source(256);
-  auto a = streams::plan_pipeline<int>(a_sp, TerminalKind::kCollect, true,
+  auto a = plan_pipeline(a_sp, TerminalKind::kCollect, true,
                                        false, true, cfg);
-  auto b = streams::plan_pipeline<int>(b_sp, TerminalKind::kCollect, true,
+  auto b = plan_pipeline(b_sp, TerminalKind::kCollect, true,
                                        false, true, cfg);
   EXPECT_EQ(a.plan.cache_key, b.plan.cache_key);
   EXPECT_EQ(a.plan.fused, b.plan.fused);
@@ -346,13 +382,13 @@ TEST(PlanRecording, TerminalsRecordLastPlan) {
 TEST(PlanExplain, NamesTheDecisions) {
   auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
+  auto planned = plan_pipeline(
       sp, TerminalKind::kCollect, true, false, false, cfg);
   const std::string text = planned.plan.explain();
   EXPECT_NE(text.find("plan: collect"), std::string::npos);
   EXPECT_NE(text.find("source : 64 elements"), std::string::npos);
-  EXPECT_NE(text.find("fusion : admitted"), std::string::npos);
-  EXPECT_NE(text.find("dps"), std::string::npos);
+  EXPECT_NE(text.find("0 fused (1:1, non-cancelling)"), std::string::npos);
+  EXPECT_NE(text.find("dps    : admitted"), std::string::npos);
 }
 
 TEST(PlanExplain, NamesStatefulChainsAndShortCircuitTerminals) {

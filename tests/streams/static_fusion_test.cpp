@@ -1,7 +1,7 @@
 // Unit tests for the typed static-pipeline API (streams/static_fusion.hpp):
 // pipe()/over(), Stream::stages(), execution-config round-tripping, every
-// terminal, the dynamic fallback when the source refuses fusion, and
-// admission observability.
+// terminal, unsized sources, the to_stream() dissolution, and leaf
+// observability.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,20 +140,9 @@ TEST(StaticPipeline, PeekObservesEveryElement) {
   EXPECT_EQ(out.front(), -1);
 }
 
-TEST(StaticPipeline, FusionOffFallsBackWithIdenticalResults) {
-  const auto build = [](bool fusion) {
-    return pls::pipe(map([](std::int64_t v) { return v * 7 + 1; }),
-                     filter([](std::int64_t v) { return v % 5 != 0; }))
-        .over(iota(200))
-        .with_fusion(fusion)
-        .to_vector();
-  };
-  EXPECT_EQ(build(true), build(false));
-}
-
-TEST(StaticPipeline, NonAdmissibleSourceFallsBack) {
-  // iterate() is unsized at the tail: fusion refuses it, the static
-  // pipeline dissolves into dynamic wrappers, results stay correct.
+TEST(StaticPipeline, UnsizedSourceFusesWithStaticChain) {
+  // iterate() is unsized at the tail: the static chain fuses over it like
+  // over any source (behind the limit's cancelling stage).
   auto out = Stream<std::int64_t>::iterate(
                  1, [](std::int64_t v) { return v * 2; })
                  .limit(10)
@@ -163,6 +152,7 @@ TEST(StaticPipeline, NonAdmissibleSourceFallsBack) {
   std::int64_t v = 1;
   for (int i = 0; i < 10; ++i, v *= 2) expected.push_back(v + 1);
   EXPECT_EQ(out, expected);
+  EXPECT_EQ(pls::streams::last_plan().origin, pls::streams::PlanOrigin::kStatic);
 }
 
 TEST(StaticPipeline, StaticChainRunsFusedOnAdmissibleSource) {
@@ -174,7 +164,10 @@ TEST(StaticPipeline, StaticChainRunsFusedOnAdmissibleSource) {
       .over(iota(128))
       .to_vector();
   const auto delta = pls::observe::aggregate_counters() - before;
-  EXPECT_GT(delta.fused_leaves, 0u) << "static chain fell back to wrappers";
+  EXPECT_EQ(delta.leaf_chunks, 1u);
+  EXPECT_EQ(delta.elements_accumulated, 128u);
+  EXPECT_EQ(pls::streams::last_plan().origin, pls::streams::PlanOrigin::kStatic);
+  EXPECT_EQ(pls::streams::last_plan().stages, 1u);
 }
 
 TEST(StaticPipeline, SessionConfigRoundTrip) {

@@ -59,6 +59,20 @@ TEST(SimdHorner, DoubleWithinRelativeBound) {
     const double scale = std::max({1.0, std::abs(scalar)});
     EXPECT_NEAR(blocked, scalar, 1e-10 * scale) << "n=" << n;
   }
+  // |x| near 0.9 over long chunks: x^n underflows, the regime where a
+  // running power of x^W used to sink into subnormals.
+  for (const double x : {0.9, -0.9, 0.95, -0.95}) {
+    for (int iter = 0; iter < 8; ++iter) {
+      const std::size_t n = (std::size_t{1} << 14) + rng() % (1 << 14);
+      std::vector<double> c(n);
+      for (auto& v : c) v = coeff(rng);
+      const double acc = coeff(rng);
+      const double blocked = simd::horner_chunk(acc, x, c.data(), n);
+      const double scalar = simd::horner_chunk_scalar(acc, x, c.data(), n);
+      const double scale = std::max({1.0, std::abs(scalar)});
+      EXPECT_NEAR(blocked, scalar, 1e-10 * scale) << "x=" << x << " n=" << n;
+    }
+  }
 }
 
 TEST(SimdHorner, DoubleExactWhenRepresentable) {
