@@ -81,5 +81,25 @@ int main() {
               }));
   std::printf("longest token: %s\n",
               longest.has_value() ? longest->c_str() : "(none)");
-  return 0;
+
+  // The vocabulary in order: distinct, then sorted (a full barrier that
+  // buffers its upstream), then the first few words.
+  const auto first_words = Stream<std::string>::of(corpus)
+                               .distinct()
+                               .sorted()
+                               .limit(4)
+                               .collect(collectors::joining(", "));
+  std::printf("first words alphabetically: %s\n", first_words.c_str());
+
+  // Letters across the corpus through flat_map, checked against a loop.
+  const auto letters = Stream<std::string>::of(corpus)
+                           .parallel()
+                           .flat_map([](const std::string& w) {
+                             return std::vector<char>(w.begin(), w.end());
+                           })
+                           .count();
+  std::size_t expected_letters = 0;
+  for (const auto& w : corpus) expected_letters += w.size();
+  std::printf("letters: %llu\n", static_cast<unsigned long long>(letters));
+  return letters == expected_letters ? 0 : 1;
 }

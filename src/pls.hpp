@@ -114,7 +114,6 @@ using streams::StagePipe;
 using streams::StaticPipeline;
 using streams::Stream;
 
-using streams::evaluate;
 using streams::evaluate_fused;
 using streams::stream_support::from_spliterator;
 
@@ -122,7 +121,7 @@ using streams::stream_support::from_spliterator;
 /// pls::pipe(pls::stages::map(f), pls::stages::filter(p), ...).
 namespace stages = streams::stages;
 
-/// Terminal descriptors for the unified evaluate() dispatch.
+/// Terminal descriptors for the unified evaluate_fused() dispatch.
 namespace terminals = streams::terminals;
 
 /// The built-in collector library (to_vector, summing, counting, ...).

@@ -3,17 +3,17 @@
 // leaf and runs a single tight push loop (docs/execution.md, "Pipeline
 // fusion").
 //
-// The stream still *builds* the wrapper chain (splitting, characteristics
-// and introspection are unchanged); fusion happens once, at terminal
-// evaluation, by walking the wrappers outermost-in through the
-// FusableStage mixin. Each fusable wrapper contributes an immutable
-// StageNode descriptor and hands over its upstream; the walk bottoms out
-// in whatever is not a fusable wrapper — an array, a range, a concat, an
-// unsized iterate tail, a user spliterator — which becomes the pipeline's
-// source. Fusion therefore always succeeds: every terminal runs fused.
-// sorted is special: it materialises its buffer and restarts the fusion
-// walk on it as a fresh windowed array source, so everything *downstream*
-// of the buffer point still fuses.
+// A Stream holds its FusedPipeline from the start: the constructor adopts
+// the source through fuse_source, and every intermediate op appends its
+// immutable StageNode. Each StageNode is the one home of its op: it wraps
+// a downstream sink, and it says how the op transforms the element count
+// and the characteristic flags, so Stream introspection folds the source
+// through the stages. Two ops still pull. sorted is a full barrier: it
+// drives its upstream pipeline into a buffer and the pipeline restarts on
+// that buffer (streams/stream.hpp). concat joins two spliterators, so a
+// side that carries stages is seen through FusedSpliterator, the one
+// generic pull adapter, which steps the element-mode drive one source
+// element at a time.
 //
 // Splitting a FusedPipeline splits the source and shares the stage chain,
 // so the parallel tree walk forks fused leaves wherever the source splits.
@@ -37,10 +37,10 @@
 namespace pls::streams {
 
 /// Immutable, type-erased descriptor of one intermediate operation. The
-/// concrete templates below carry the operator (shared with the wrapper
-/// spliterators) and know how to wrap a downstream sink; the type-erased
-/// face is what FusedPipeline stores and what chain assembly walks —
-/// one virtual wrap_sink per stage per leaf, never per element.
+/// concrete templates below carry the shared operator and know how to
+/// wrap a downstream sink; the type-erased face is what FusedPipeline
+/// stores and what chain assembly walks — one virtual wrap_sink per stage
+/// per leaf, never per element.
 class StageNode {
  public:
   virtual ~StageNode() = default;
@@ -70,18 +70,25 @@ class StageNode {
 
   /// How the stage transforms a known upstream element count; returns
   /// kUnknownSinkSize when the result count cannot be known (filter,
-  /// take_while). Mirrors what the wrapper reports through kSized /
-  /// estimate_size, so leaves feed the observe counters the element
-  /// totals the wrapper's sizing implies.
+  /// take_while). Leaves feed the observe counters the count folded
+  /// through every stage, and Stream::estimate_size() keeps the upstream
+  /// count as its bound where this returns kUnknownSinkSize.
   virtual std::uint64_t transform_count(std::uint64_t count) const noexcept {
     return count;
   }
+
+  /// The characteristic flags of the stage's output given its upstream's
+  /// (Stream::characteristics() folds the source through every stage).
+  /// A stage drops kSized exactly where transform_count is unknowable.
+  virtual Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept {
+    return upstream;
+  }
 };
 
-/// A stripped pipeline: the source spliterator (of a hidden element type)
-/// plus the stage chain, ready to drive sink chains. Output element type
-/// is stages.back().output_type() — verified against the terminal's T by
-/// fuse_pipeline, which is the only way these are made.
+/// A pipeline: the source spliterator (of a hidden element type) plus the
+/// stage chain, ready to drive sink chains. Output element type is
+/// stages.back().output_type(), checked at every append_stage.
 class FusedPipeline {
  public:
   virtual ~FusedPipeline() = default;
@@ -111,10 +118,17 @@ class FusedPipeline {
   /// cancellation signal lives in the terminal sink itself.
   virtual void drive_short_circuit(SinkControl& terminal) = 0;
 
+  /// The element-mode drive in three steps, for callers that pull:
+  /// open() composes the sink chain into `terminal` and calls begin;
+  /// each step() pushes one source element through it and returns false
+  /// once the chain cancels or the source is exhausted; close() calls end.
+  virtual void open(SinkControl& terminal) = 0;
+  virtual bool step() = 0;
+  virtual void close() = 0;
+
   virtual const std::type_info& output_type() const noexcept = 0;
 
-  /// Append the next-outer stage (fusion walks outermost-in, so stages
-  /// arrive source-side first). Checks the element-type seam.
+  /// Append the next stage downstream. Checks the element-type seam.
   virtual void append_stage(std::shared_ptr<const StageNode> stage) = 0;
 
   /// Re-arm the chain for another drive. Batch terminals drive a pipeline
@@ -132,20 +146,36 @@ class FusedPipeline {
   bool one_to_one() const noexcept { return one_to_one_; }
   bool stateful() const noexcept { return stateful_; }
 
-  /// Number of stripped stages in the chain (the planner's stage summary).
+  /// Number of stages in the chain (the planner's stage summary).
   std::size_t stage_count() const noexcept { return stages().size(); }
 
-  /// The element count a leaf reports to the observe counters: the size
-  /// of a SIZED source folded through every stage, 0 for an unsized
-  /// source or once any stage makes the count unknowable.
-  std::uint64_t countable_estimate() const {
-    if (!has_characteristics(source_characteristics(), kSized)) return 0;
+  /// The source's characteristics folded through every stage: what the
+  /// pipeline's output reports (Stream::characteristics()).
+  Characteristics output_characteristics() const {
+    Characteristics c = source_characteristics();
+    for (const auto& s : stages()) c = s->transform_characteristics(c);
+    return c;
+  }
+
+  /// The source's size estimate folded through every stage
+  /// (Stream::estimate_size()): exact while the output stays kSized, the
+  /// upstream bound past a stage whose count is unknowable.
+  std::uint64_t output_estimate() const {
     std::uint64_t n = estimate_size();
     for (const auto& s : stages()) {
-      if (n == kUnknownSinkSize) break;
-      n = s->transform_count(n);
+      const std::uint64_t t = s->transform_count(n);
+      if (t != kUnknownSinkSize) n = t;
     }
-    return n == kUnknownSinkSize ? 0 : n;
+    return n;
+  }
+
+  /// The element count a leaf reports to the observe counters: the
+  /// output estimate while the output is kSized, 0 for an unsized source
+  /// or once any stage makes the count unknowable.
+  std::uint64_t countable_estimate() const {
+    return has_characteristics(output_characteristics(), kSized)
+               ? output_estimate()
+               : 0;
   }
 
  protected:
@@ -155,17 +185,6 @@ class FusedPipeline {
   bool cancels_ = false;
   bool one_to_one_ = true;
   bool stateful_ = false;
-};
-
-/// Mixin for wrapper spliterators that can dissolve into a fused stage.
-/// strip_into_fused() fuses the upstream and appends this wrapper's stage;
-/// it returns nullptr, leaving the wrapper untouched, only when the
-/// wrapper cannot dissolve (a flat_map with a half-drained expansion
-/// buffer) — fuse_pipeline then adopts the wrapper itself as the source.
-class FusableStage {
- public:
-  virtual ~FusableStage() = default;
-  virtual std::unique_ptr<FusedPipeline> strip_into_fused() = 0;
 };
 
 /// Mixin for spliterators that can be driven more than once. A source
@@ -234,6 +253,41 @@ class FusedPipelineImpl final : public FusedPipeline {
     run_drive(terminal, /*element_mode=*/true);
   }
 
+  void open(SinkControl& terminal) override {
+    PLS_CHECK(!driven_,
+              "fused pipeline already driven; call reset() between drives");
+    driven_ = true;
+    // Compose the sink chain back-to-front: terminal first, then each
+    // stage outermost-in. One virtual wrap_sink per stage per leaf.
+    chain_.clear();
+    SinkControl* down = &terminal;
+    for (std::size_t i = stages_.size(); i-- > 0;) {
+      chain_.push_back(stages_[i]->wrap_sink(*down));
+      down = chain_.back().get();
+    }
+    // `down` now consumes the source element type S: it is either the
+    // innermost stage's sink or (stage-free chain) the terminal itself,
+    // whose element type the caller matched to output_type() == S.
+    head_ = &static_cast<Sink<S>&>(*down);
+    head_->begin(source_->has(kSized) ? source_->estimate_size()
+                                      : kUnknownSinkSize);
+  }
+
+  /// Element mode: one source element per call, with the cancellation
+  /// check ahead of the pull, so the source is consumed exactly as deep
+  /// as the chain's short-circuit demands.
+  bool step() override {
+    return !head_->cancellation_requested() &&
+           source_->try_advance([&](const S& v) { head_->accept(v); });
+  }
+
+  void close() override {
+    head_->end();
+    last_drive_cancelled_ = head_->cancellation_requested();
+    head_ = nullptr;
+    chain_.clear();
+  }
+
   void reset() override {
     PLS_CHECK(!cancels_,
               "cannot reset a fused pipeline with a cancelling stage "
@@ -248,41 +302,23 @@ class FusedPipelineImpl final : public FusedPipeline {
     driven_ = false;
   }
 
- private:
-  void run_drive(SinkControl& terminal, bool element_mode) {
-    PLS_CHECK(!driven_,
-              "fused pipeline already driven; call reset() between drives");
-    driven_ = true;
-    // Compose the sink chain back-to-front: terminal first, then each
-    // stage outermost-in. One virtual wrap_sink per stage per leaf.
-    std::vector<std::unique_ptr<SinkControl>> owned;
-    owned.reserve(stages_.size());
-    SinkControl* down = &terminal;
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-      owned.push_back(stages_[i]->wrap_sink(*down));
-      down = owned.back().get();
-    }
-    // `down` now consumes the source element type S: it is either the
-    // innermost stage's sink or (stage-free chain) the terminal itself,
-    // whose element type fuse_pipeline verified to be S.
-    auto& head = static_cast<Sink<S>&>(*down);
-    head.begin(source_->has(kSized) ? source_->estimate_size()
-                                    : kUnknownSinkSize);
-    if (element_mode) {
-      drive_cancellable(head);
-    } else {
-      drive_bulk(head);
-    }
-    head.end();
-    last_drive_cancelled_ = head.cancellation_requested();
+  /// Hand back the source of a stage-free pipeline (concat joins bare
+  /// sources; see as_spliterator).
+  std::unique_ptr<Spliterator<S>> release_source() {
+    PLS_CHECK(stages_.empty(), "only a stage-free pipeline is its source");
+    return std::move(source_);
   }
 
-  /// Element-mode with a cancellation check between elements: consumes
-  /// the source exactly as deep as the chain's short-circuit demands.
-  void drive_cancellable(Sink<S>& head) {
-    while (!head.cancellation_requested() &&
-           source_->try_advance([&](const S& v) { head.accept(v); })) {
+ private:
+  void run_drive(SinkControl& terminal, bool element_mode) {
+    open(terminal);
+    if (element_mode) {
+      while (step()) {
+      }
+    } else {
+      drive_bulk(*head_);
     }
+    close();
   }
 
   /// Chunked transport: contiguous sources hand whole spans straight into
@@ -318,6 +354,9 @@ class FusedPipelineImpl final : public FusedPipeline {
 
   std::unique_ptr<Spliterator<S>> source_;
   std::vector<std::shared_ptr<const StageNode>> stages_;
+  // The composed sink chain of the open drive (open() to close()).
+  std::vector<std::unique_ptr<SinkControl>> chain_;
+  Sink<S>* head_ = nullptr;
   bool driven_ = false;
   bool last_drive_cancelled_ = false;
 };
@@ -340,6 +379,11 @@ class MapStage final : public StageNode {
   }
   const std::type_info& output_type() const noexcept override {
     return typeid(Out);
+  }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    // Mapping preserves size and order but not sortedness/distinctness.
+    return upstream & ~(kSorted | kDistinct);
   }
 
  private:
@@ -367,6 +411,10 @@ class FilterStage final : public StageNode {
   bool one_to_one() const noexcept override { return false; }
   std::uint64_t transform_count(std::uint64_t) const noexcept override {
     return kUnknownSinkSize;
+  }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return upstream & ~(kSized | kSubsized | kPower2);
   }
 
  private:
@@ -417,9 +465,13 @@ class SliceStage final : public StageNode {
   bool cancels() const noexcept override { return true; }
   bool one_to_one() const noexcept override { return false; }
   std::uint64_t transform_count(std::uint64_t count) const noexcept override {
-    // Matches SliceSpliterator::estimate_size (the wrapper keeps kSized).
+    // The slice of a known count is known: slicing keeps kSized.
     const std::uint64_t after_skip = count > skip_ ? count - skip_ : 0;
     return after_skip < limit_ ? after_skip : limit_;
+  }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return upstream & ~(kSubsized | kPower2);
   }
 
  private:
@@ -446,8 +498,12 @@ class FlatMapStage final : public StageNode {
   }
   bool one_to_one() const noexcept override { return false; }
   std::uint64_t transform_count(std::uint64_t) const noexcept override {
-    // Fan-out per element is arbitrary; the wrapper dropped kSized too.
+    // Fan-out per element is arbitrary, so the count is unknowable.
     return kUnknownSinkSize;
+  }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return upstream & ~(kSized | kSubsized | kSorted | kDistinct | kPower2);
   }
 
  private:
@@ -473,6 +529,10 @@ class DistinctStage final : public StageNode {
   std::uint64_t transform_count(std::uint64_t) const noexcept override {
     return kUnknownSinkSize;
   }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return (upstream & ~(kSized | kSubsized | kPower2)) | kDistinct;
+  }
 };
 
 template <typename T, typename Pred>
@@ -497,6 +557,10 @@ class TakeWhileStage final : public StageNode {
   bool one_to_one() const noexcept override { return false; }
   std::uint64_t transform_count(std::uint64_t) const noexcept override {
     return kUnknownSinkSize;
+  }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return upstream & ~(kSized | kSubsized | kPower2);
   }
 
  private:
@@ -526,12 +590,16 @@ class DropWhileStage final : public StageNode {
   std::uint64_t transform_count(std::uint64_t) const noexcept override {
     return kUnknownSinkSize;
   }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    return upstream & ~(kSized | kSubsized | kPower2);
+  }
 
  private:
   std::shared_ptr<const Pred> pred_;
 };
 
-// ---- the fuse step -----------------------------------------------------
+// ---- sources and the pull adapter ----------------------------------------
 
 /// Adopt any spliterator as the source of a stage-free pipeline. Never
 /// refuses: source shape (SIZED|SUBSIZED, windowed, power of two) only
@@ -543,22 +611,95 @@ std::unique_ptr<FusedPipeline> fuse_source(
   return std::make_unique<FusedPipelineImpl<T>>(std::move(sp));
 }
 
-/// Fuse the pipeline rooted at `sp` (the outermost wrapper or the bare
-/// source). Always succeeds and consumes `sp`: fusable wrappers dissolve
-/// into stages, and whatever the walk bottoms out in becomes the source.
+/// The pull adapter: a FusedPipeline of output type T seen as a
+/// Spliterator<T> (Java's WrappingSpliterator). try_advance steps the
+/// element-mode drive one source element at a time into a buffer (a stage
+/// may emit zero or several elements per source element), so a chain is
+/// pulled exactly as deep as an element-at-a-time evaluation would;
+/// for_each_remaining drives the rest in one go with the chunked
+/// transport. Splits, sizes and flags come from the pipeline; it names no
+/// destination window (concat, its one user, has none).
 template <typename T>
-std::unique_ptr<FusedPipeline> fuse_pipeline(
-    std::unique_ptr<Spliterator<T>>& sp) {
-  PLS_CHECK(sp != nullptr, "fuse_pipeline requires a source");
-  if (auto* stage = dynamic_cast<FusableStage*>(sp.get())) {
-    if (auto fused = stage->strip_into_fused()) {
-      PLS_CHECK(fused->output_type() == typeid(T),
-                "fused pipeline output type does not match the terminal");
-      sp.reset();
-      return fused;
+class FusedSpliterator final : public Spliterator<T> {
+ public:
+  using Action = typename Spliterator<T>::Action;
+
+  explicit FusedSpliterator(std::unique_ptr<FusedPipeline> fp)
+      : fp_(std::move(fp)) {
+    PLS_CHECK(fp_ != nullptr && fp_->output_type() == typeid(T),
+              "pull adapter requires a pipeline of its element type");
+  }
+
+  bool try_advance(Action action) override {
+    if (state_ == State::kFresh) {
+      fp_->open(buffer_);
+      state_ = State::kOpen;
+    }
+    while (cursor_ == buffer_.values.size()) {
+      buffer_.values.clear();
+      cursor_ = 0;
+      if (state_ == State::kDone) return false;
+      if (!fp_->step()) {
+        fp_->close();
+        state_ = State::kDone;
+      }
+    }
+    action(buffer_.values[cursor_++]);
+    return true;
+  }
+
+  void for_each_remaining(Action action) override {
+    if (state_ == State::kFresh) {
+      ForEachSink<T, Action> sink(action);
+      fp_->drive(sink);
+      state_ = State::kDone;
+      return;
+    }
+    while (try_advance(action)) {
     }
   }
-  return fuse_source(sp);
+
+  std::unique_ptr<Spliterator<T>> try_split() override {
+    // A started pull owns the composed chain; only a fresh one splits.
+    if (state_ != State::kFresh) return nullptr;
+    auto prefix = fp_->try_split();
+    if (!prefix) return nullptr;
+    return std::make_unique<FusedSpliterator<T>>(std::move(prefix));
+  }
+
+  std::uint64_t estimate_size() const override {
+    return fp_->output_estimate();
+  }
+
+  Characteristics characteristics() const override {
+    return fp_->output_characteristics();
+  }
+
+ private:
+  struct BufferSink final : Sink<T> {
+    void accept(const T& value) override { values.push_back(value); }
+    std::vector<T> values;
+  };
+
+  enum class State : std::uint8_t { kFresh, kOpen, kDone };
+
+  BufferSink buffer_;  // the open chain's terminal; outlives fp_'s chain
+  std::unique_ptr<FusedPipeline> fp_;
+  std::size_t cursor_ = 0;
+  State state_ = State::kFresh;
+};
+
+/// The pipeline as a Spliterator<T>: its bare source when it carries no
+/// stage, the pull adapter over it otherwise.
+template <typename T>
+std::unique_ptr<Spliterator<T>> as_spliterator(
+    std::unique_ptr<FusedPipeline> fp) {
+  PLS_CHECK(fp != nullptr && fp->output_type() == typeid(T),
+            "pipeline output type does not match the spliterator");
+  if (fp->stage_count() == 0) {
+    return static_cast<FusedPipelineImpl<T>&>(*fp).release_source();
+  }
+  return std::make_unique<FusedSpliterator<T>>(std::move(fp));
 }
 
 }  // namespace pls::streams

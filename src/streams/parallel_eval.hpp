@@ -1,7 +1,7 @@
 // Terminal-operation evaluator: one fork-join walk for every terminal.
 //
 // Every stream terminal runs over a FusedPipeline (streams/fusion.hpp):
-// the source spliterator plus the stripped stage chain. Parallel
+// the source spliterator plus the stage chain the Stream built. Parallel
 // evaluation mirrors Java's: the pipeline is split recursively until
 // chunks reach the planned grain (estimate / (parallelism * 4) by
 // default, as in AbstractTask.suggestTargetSize), each leaf drives its
@@ -140,21 +140,6 @@ class ReduceSink final : public Sink<T> {
   std::optional<T>& acc_;
 };
 
-template <typename T, typename Fn>
-class ForEachSink final : public Sink<T> {
- public:
-  explicit ForEachSink(const Fn& fn) : fn_(fn) {}
-
-  void accept(const T& value) override { fn_(value); }
-
-  void accept_chunk(const T* values, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) fn_(values[i]);
-  }
-
- private:
-  const Fn& fn_;
-};
-
 template <typename T>
 class CountSink final : public Sink<T> {
  public:
@@ -288,7 +273,7 @@ struct ForEach {
 
   template <typename T>
   detail::Unit leaf(FusedPipeline& fp) const {
-    detail::ForEachSink<T, Fn> sink(fn);
+    ForEachSink<T, Fn> sink(fn);
     fp.drive(sink);
     return {};
   }
@@ -514,13 +499,16 @@ inline constexpr bool kChunkCollector<T, terminals::Collect<C>> =
 
 }  // namespace detail
 
-/// Evaluate a terminal over a FusedPipeline whose output element type is
-/// T: plan (plan_fused_pipeline), record, walk. The static pipeline calls
-/// this after appending its StaticChainStage.
+/// THE terminal entry point: evaluate a terminal over a FusedPipeline whose
+/// output element type is T — plan (plan_fused_pipeline), record, walk.
+/// Every Stream terminal calls this on the pipeline it holds; the static
+/// pipeline calls it after appending its StaticChainStage.
 template <typename T, typename Term>
 auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
                     const ExecutionConfig& cfg = {},
                     PlanOrigin origin = PlanOrigin::kStatic) {
+  PLS_CHECK(fused.output_type() == typeid(T),
+            "fused pipeline output type does not match the terminal");
   const ExecutionPlan plan = plan_fused_pipeline(
       fused, Term::kind, detail::kSizedCollector<T, Term>,
       detail::kChunkCollector<T, Term>, parallel, cfg, origin);
@@ -534,17 +522,6 @@ auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
   } else {
     return detail::run_walk<T>(fused, term, cfg, plan);
   }
-}
-
-/// THE terminal entry point of the dynamic streams, used by every Stream
-/// terminal: fuse the pipeline rooted at `sp` (consuming it) and evaluate
-/// the fused form.
-template <typename T, typename Term>
-auto evaluate(std::unique_ptr<Spliterator<T>>& sp, const Term& term,
-              bool parallel, const ExecutionConfig& cfg = {},
-              PlanOrigin origin = PlanOrigin::kDynamic) {
-  auto fused = fuse_pipeline<T>(sp);
-  return evaluate_fused<T>(*fused, term, parallel, cfg, origin);
 }
 
 }  // namespace pls::streams

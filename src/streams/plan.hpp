@@ -223,7 +223,7 @@ inline const char* kernel_name(KernelMode m) {
 
 /// Which entry point produced the plan.
 enum class PlanOrigin : std::uint8_t {
-  kDynamic,        ///< Stream terminal through evaluate()
+  kDynamic,        ///< Stream terminal (evaluate_fused)
   kStatic,         ///< StaticPipeline, fused with its compiled stage stack
   kSynthesized,    ///< skeleton executor (no stream pipeline)
   kService,        ///< ServiceSession micro-batch through a reused chain
@@ -310,8 +310,8 @@ struct ExecutionPlan {
   bool parallel = false;
   unsigned parallelism = 1;
 
-  // Source shape: the fused pipeline's source (below every stripped
-  // stage; the sorted buffer when the chain restarted at a sorted).
+  // Source shape: the fused pipeline's source (below every stage; the
+  // sorted buffer when the chain restarted at a sorted).
   std::uint64_t source_size = 0;
   bool sized = false;
   bool subsized = false;
@@ -394,9 +394,8 @@ inline PlanReason dps_window_reason(bool sized_subsized,
   return PlanReason::kAdmitted;
 }
 
-/// DPS admission of a bare spliterator (the multiway collect's source, or
-/// the outermost wrapper of a pipeline, whose window only all-1:1 chains
-/// delegate): dps_window_reason must admit it.
+/// DPS admission of a bare spliterator (the multiway collect's source):
+/// dps_window_reason must admit it.
 template <typename T>
 std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
   const auto w = output_window_of(sp);

@@ -1,12 +1,10 @@
 // Sink<T>: the push-mode consumer protocol of the fusion engine
 // (mirrors java.util.stream.Sink).
 //
-// Pulling through the wrapper spliterators
-// (streams/pipeline_spliterators.hpp) pays one indirect try_advance /
-// action hop per stage per element. Java's real engine never
-// does that — AbstractPipeline composes all intermediate ops into one Sink
-// chain per leaf (opWrapSink) and runs a single tight loop. This header is
-// that protocol: a Sink accepts a begin(size) / accept(value)* / end()
+// Like Java's AbstractPipeline (opWrapSink), a pipeline composes all its
+// intermediate ops into one Sink chain per leaf and runs a single tight
+// loop, with no per-stage pull hop per element. This header is that
+// protocol: a Sink accepts a begin(size) / accept(value)* / end()
 // conversation, and can ask for early termination through
 // cancellation_requested() (how limit/takeWhile short-circuit upstream).
 //
@@ -81,12 +79,30 @@ class Sink : public SinkControl {
   }
 };
 
+/// Terminal sink handing every element to a callable held by reference:
+/// the for_each terminal, sorted's buffer fill and the pull adapter's
+/// bulk drive.
+template <typename T, typename Fn>
+class ForEachSink final : public Sink<T> {
+ public:
+  explicit ForEachSink(const Fn& fn) : fn_(fn) {}
+
+  void accept(const T& value) override { fn_(value); }
+
+  void accept_chunk(const T* values, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) fn_(values[i]);
+  }
+
+ private:
+  const Fn& fn_;
+};
+
 // ---- stage sinks -----------------------------------------------------
 //
 // One class per intermediate operation, templated on the concrete
 // operator type so the chunk loops inline it. Each holds the shared
-// operator (the same shared_ptr the wrapper spliterators split with) and
-// the downstream sink by reference.
+// operator (the one shared_ptr its StageNode hands to every leaf's chain)
+// and the downstream sink by reference.
 
 /// map: applies Fn(In) -> Out. Chunk mode maps into a scratch buffer and
 /// pushes whole Out-chunks downstream; falls back to per-element accept
@@ -215,10 +231,10 @@ class PeekSink final : public Sink<T> {
 /// encounter order. Element mode pushes each expansion element as it is
 /// produced — on cancelling chains the whole expansion of the current
 /// source element is offered before the driver re-checks cancellation,
-/// matching the wrapper's buffer-one-expansion-at-a-time consumption
-/// depth exactly. Chunk mode gathers expansions into a scratch buffer
-/// flushed in >= kFusionChunk batches; the downstream element count is
-/// unknowable, so begin() forwards kUnknownSinkSize.
+/// so the source is consumed one expansion at a time. Chunk mode gathers
+/// expansions into a scratch buffer flushed in >= kFusionChunk batches;
+/// the downstream element count is unknowable, so begin() forwards
+/// kUnknownSinkSize.
 template <typename In, typename Out, typename Fn>
 class FlatMapSink final : public Sink<In> {
   static constexpr bool kBatched = std::is_move_constructible_v<Out>;
@@ -269,8 +285,8 @@ class FlatMapSink final : public Sink<In> {
   std::vector<Out> scratch_;
 };
 
-/// distinct: hash-dedup keeping the first occurrence in encounter order —
-/// identical semantics to the wrapper's keep-first set walk. Stateful:
+/// distinct: hash-dedup keeping the first occurrence in encounter order.
+/// Stateful:
 /// the seen-set spans the whole traversal, so a chain containing this
 /// sink must be driven by exactly one leaf (the planner refuses to split
 /// it; see StageNode::stateful in streams/fusion.hpp). Chunk mode
@@ -318,11 +334,11 @@ class DistinctSink final : public Sink<T> {
   std::vector<T> scratch_;
 };
 
-/// skip + limit (the SliceSpliterator pair). A cancelling stage: once the
-/// limit is exhausted it requests cancellation, and the element-mode
-/// driver stops pulling the source — the same consumption depth as the
-/// wrapper (skip + limit elements, never more). Cancelling chains always
-/// run element-mode, so the inherited accept_chunk is never hot.
+/// skip + limit (Stream::skip and Stream::limit). A cancelling stage: once
+/// the limit is exhausted it requests cancellation, and the element-mode
+/// driver stops pulling the source — skip + limit elements, never more.
+/// Cancelling chains always run element-mode, so the inherited
+/// accept_chunk is never hot.
 template <typename T>
 class SliceSink final : public Sink<T> {
  public:
@@ -358,9 +374,9 @@ class SliceSink final : public Sink<T> {
   Sink<T>& down_;
 };
 
-/// take_while: forwards the longest satisfying prefix, then cancels. Like
-/// the wrapper, the first failing element is consumed from the source
-/// (it must be examined) but not forwarded.
+/// take_while: forwards the longest satisfying prefix, then cancels. The
+/// first failing element is consumed from the source (it must be
+/// examined) but not forwarded.
 template <typename T, typename Pred>
 class TakeWhileSink final : public Sink<T> {
  public:

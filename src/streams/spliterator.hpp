@@ -44,8 +44,8 @@ struct OutputWindow {
 /// partition the parent's: tie splits hand the prefix the first half of
 /// the window (same stride), zip splits hand it the even positions
 /// (stride doubled), exactly mirroring how SpliteratorPower2 transforms
-/// its (start, incr, count) triple. Wrappers that merely map values 1:1
-/// (e.g. MapSpliterator) delegate to their upstream; sources that cannot
+/// its (start, incr, count) triple. A pipeline keeps its source's window
+/// only through an all-1:1 stage chain (map, peek); sources that cannot
 /// name a window return nullopt and collect through the
 /// supplier/combiner path.
 class WindowedSource {
@@ -53,8 +53,7 @@ class WindowedSource {
   virtual ~WindowedSource() = default;
 
   /// This spliterator's current destination window, or nullopt when the
-  /// source cannot provide one (e.g. a wrapper over a non-windowed
-  /// upstream).
+  /// source cannot provide one.
   virtual std::optional<OutputWindow> try_output_window() const = 0;
 };
 
@@ -110,8 +109,8 @@ class Spliterator {
 
 /// The destination window of an arbitrary spliterator, or nullopt when it
 /// is not a WindowedSource (or cannot currently name one). Used both by
-/// the destination-passing evaluator and by 1:1 wrappers delegating to
-/// their upstream.
+/// the destination-passing evaluator and by sorted's buffer source,
+/// which delegates to its buffer.
 template <typename T>
 std::optional<OutputWindow> output_window_of(const Spliterator<T>& sp) {
   const auto* w = dynamic_cast<const WindowedSource*>(&sp);

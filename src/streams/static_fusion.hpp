@@ -10,8 +10,8 @@
 // zero calls between stages.
 //
 // Integration point: the entire static stack becomes ONE StageNode
-// (StaticChainStage) appended to the ordinary FusedPipeline obtained from
-// fuse_pipeline<S>(). Splitting, destination-passing collect admission,
+// (StaticChainStage) appended to the ordinary FusedPipeline the adopted
+// Stream holds. Splitting, destination-passing collect admission,
 // observe-counter parity and the terminal drivers are all reused unchanged,
 // so a static pipeline is observationally identical to its dynamic
 // equivalent — element order, per-element evaluation order, and results are
@@ -31,7 +31,7 @@
 // Entry points:
 //   pls::pipe(stages::map(f), stages::filter(p), ...).over(vec)...
 //   Stream<T>::stages(stages::map(f), ...)  — adopt an existing stream's
-//     source and execution settings mid-chain.
+//     pipeline and execution settings mid-chain.
 #pragma once
 
 #include <cstddef>
@@ -326,6 +326,14 @@ class StaticChainStage final : public StageNode {
   std::uint64_t transform_count(std::uint64_t count) const noexcept override {
     return chain_one_to_one_v<Ops...> ? count : kUnknownSinkSize;
   }
+  Characteristics transform_characteristics(
+      Characteristics upstream) const noexcept override {
+    // A map may reorder values; a filter or flat_map also loses the count.
+    return chain_one_to_one_v<Ops...>
+               ? upstream & ~(kSorted | kDistinct)
+               : upstream &
+                     ~(kSized | kSubsized | kSorted | kDistinct | kPower2);
+  }
 
  private:
   std::shared_ptr<const std::tuple<Ops...>> ops_;
@@ -335,7 +343,7 @@ class StaticChainStage final : public StageNode {
 
 /// A single-use pipeline whose stage list is part of its type. Mirrors
 /// Stream's execution builders and terminals; on terminal evaluation it
-/// fuses the source, appends the one StaticChainStage, and runs the
+/// appends the one StaticChainStage to the adopted pipeline and runs the
 /// unified terminal walk.
 template <typename S, typename... Ops>
 class StaticPipeline {
@@ -344,22 +352,24 @@ class StaticPipeline {
   /// where the dynamic Stream only knows it per-stage.
   using value_type = chain_output_t<S, Ops...>;
 
-  StaticPipeline(std::unique_ptr<Spliterator<S>> source,
+  /// `pipeline` is any pipeline whose output type is S: a bare source,
+  /// or a stream's dynamic stages running upstream of the static stack.
+  StaticPipeline(std::unique_ptr<FusedPipeline> pipeline,
                  std::shared_ptr<const std::tuple<Ops...>> ops, bool parallel,
                  ExecutionConfig config)
-      : source_(std::move(source)),
+      : pipeline_(std::move(pipeline)),
         ops_(std::move(ops)),
         parallel_(parallel),
         config_(config) {
-    PLS_CHECK(source_ != nullptr,
-              "StaticPipeline requires a source spliterator");
+    PLS_CHECK(pipeline_ != nullptr && pipeline_->output_type() == typeid(S),
+              "StaticPipeline requires a pipeline of its input type");
   }
 
-  /// Adopt a stream's source and execution settings (used by
+  /// Adopt a stream's pipeline and execution settings (used by
   /// StagePipe::over and Stream::stages).
   static StaticPipeline adopt(Stream<S> s,
                               std::shared_ptr<const std::tuple<Ops...>> ops) {
-    return StaticPipeline(std::move(s.source_), std::move(ops), s.parallel_,
+    return StaticPipeline(s.take_pipeline(), std::move(ops), s.parallel_,
                           s.config_);
   }
 
@@ -419,7 +429,7 @@ class StaticPipeline {
                        std::tuple<std::decay_t<More>...>(
                            std::forward<More>(more)...)));
     return StaticPipeline<S, Ops..., std::decay_t<More>...>(
-        std::move(source_), std::move(merged), parallel_, config_);
+        take_pipeline(), std::move(merged), parallel_, config_);
   }
 
   // ---- terminal operations -------------------------------------------
@@ -454,24 +464,26 @@ class StaticPipeline {
         terminals::collect(VectorCollector<value_type>{}));
   }
 
-  /// Dissolve into the equivalent dynamic stream: same ops as wrapper
-  /// spliterators, same settings.
+  /// Dissolve into the equivalent dynamic stream: same ops as dynamic
+  /// stages, same settings.
   Stream<value_type> to_stream() && {
-    Stream<S> s(std::move(source_), parallel_);
-    s.config_ = config_;
-    return apply_from<0>(std::move(s));
+    return apply_from<0>(Stream<S>(take_pipeline(), parallel_, config_));
   }
 
  private:
   template <typename S2, typename... Ops2>
   friend class StaticPipeline;
 
-  /// Unified terminal drive: fuse the source, append the compiled stage
-  /// stack as one stage, walk.
+  std::unique_ptr<FusedPipeline> take_pipeline() {
+    PLS_CHECK(pipeline_ != nullptr, "StaticPipeline is single-use");
+    return std::move(pipeline_);
+  }
+
+  /// Unified terminal drive: append the compiled stage stack as one
+  /// stage, walk.
   template <typename Term>
   auto run(const Term& term) && {
-    PLS_CHECK(source_ != nullptr, "StaticPipeline is single-use");
-    auto fused = fuse_pipeline<S>(source_);
+    const auto fused = take_pipeline();
     if constexpr (sizeof...(Ops) > 0) {
       fused->append_stage(std::make_shared<StaticChainStage<S, Ops...>>(ops_));
     }
@@ -499,7 +511,7 @@ class StaticPipeline {
     }
   }
 
-  std::unique_ptr<Spliterator<S>> source_;
+  std::unique_ptr<FusedPipeline> pipeline_;
   std::shared_ptr<const std::tuple<Ops...>> ops_;
   bool parallel_ = false;
   ExecutionConfig config_{};
@@ -537,7 +549,7 @@ class StagePipe {
                                             ops_);
   }
 
-  /// Adopt an existing stream (source, parallelism and config carry over);
+  /// Adopt an existing stream (pipeline, parallelism and config carry over);
   /// any ops already applied to the stream run dynamically upstream of the
   /// static stack.
   template <typename T>
@@ -568,7 +580,7 @@ auto Stream<T>::stages(Ops&&... ops) && {
   auto tuple = std::make_shared<const std::tuple<std::decay_t<Ops>...>>(
       std::forward<Ops>(ops)...);
   return StaticPipeline<T, std::decay_t<Ops>...>(
-      std::move(source_), std::move(tuple), parallel_, config_);
+      take_pipeline(), std::move(tuple), parallel_, config_);
 }
 
 }  // namespace pls::streams

@@ -1,9 +1,11 @@
 // Stream<T>: the lazy pipeline facade (mirrors java.util.stream.Stream).
 //
-// A Stream owns a source spliterator plus execution settings (sequential
-// vs. parallel, pool, chunk target). Intermediate operations wrap the
-// spliterator and return a new Stream; terminal operations traverse it —
-// a Stream, like Java's, is single-use.
+// A Stream owns its pipeline — the source spliterator plus the stage
+// chain, a FusedPipeline (streams/fusion.hpp) — and its execution
+// settings (sequential vs. parallel, pool, chunk target). Intermediate
+// operations append a stage and return a new Stream; terminal operations
+// evaluate the pipeline (evaluate_fused) — a Stream, like Java's, is
+// single-use.
 //
 // Parallelism is requested exactly as in the paper's snippets: create the
 // stream from a spliterator with `parallel = true`
@@ -11,18 +13,19 @@
 // or toggle with .parallel()/.sequential().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "streams/collector.hpp"
 #include "streams/fusion.hpp"
 #include "streams/parallel_eval.hpp"
-#include "streams/pipeline_spliterators.hpp"
 #include "streams/spliterator.hpp"
 #include "streams/spliterators.hpp"
 #include "support/assert.hpp"
@@ -31,165 +34,75 @@ namespace pls::streams {
 
 namespace detail {
 
-/// skip/limit wrapper. Sequential by design: it refuses to split (slicing
-/// a parallel pipeline deterministically requires encounter-order
-/// bookkeeping that Java, too, pays a heavy price for).
-template <typename T>
-class SliceSpliterator final : public Spliterator<T>, public FusableStage {
+/// sorted's source: Java's full-barrier stateful op as a lazy buffer. At
+/// first observation it drives the upstream pipeline into a vector and
+/// sorts it; from then on it is an array spliterator over the buffer, so
+/// the pipeline restarts on a fresh windowed SIZED|SUBSIZED source and
+/// every stage *downstream* of sorted still fuses.
+template <typename T, typename Cmp>
+class SortedBufferSource final : public Spliterator<T>,
+                                 public WindowedSource {
  public:
   using Action = typename Spliterator<T>::Action;
 
-  SliceSpliterator(std::unique_ptr<Spliterator<T>> upstream,
-                   std::uint64_t skip, std::uint64_t limit)
-      : upstream_(std::move(upstream)), skip_(skip), limit_(limit) {}
+  SortedBufferSource(std::unique_ptr<FusedPipeline> upstream, Cmp cmp)
+      : upstream_(std::move(upstream)), cmp_(std::move(cmp)) {
+    PLS_CHECK(upstream_ != nullptr, "sorted requires an upstream pipeline");
+  }
 
   bool try_advance(Action action) override {
-    while (skip_ > 0) {
-      if (!upstream_->try_advance([](const T&) {})) return false;
-      --skip_;
-    }
-    if (limit_ == 0) return false;
-    if (!upstream_->try_advance(action)) return false;
-    --limit_;
-    return true;
-  }
-
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
-
-  std::uint64_t estimate_size() const override {
-    const std::uint64_t upstream = upstream_->estimate_size();
-    const std::uint64_t after_skip =
-        upstream > skip_ ? upstream - skip_ : 0;
-    return after_skip < limit_ ? after_skip : limit_;
-  }
-
-  Characteristics characteristics() const override {
-    return upstream_->characteristics() & ~(kSubsized | kPower2);
-  }
-
-  std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    auto fused = fuse_pipeline<T>(upstream_);
-    fused->append_stage(std::make_shared<SliceStage<T>>(skip_, limit_));
-    return fused;
-  }
-
- private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  std::uint64_t skip_;
-  std::uint64_t limit_;
-};
-
-/// takeWhile wrapper: emits elements until the predicate first fails.
-/// Sequential (refuses to split), as ordered prefix semantics demand.
-template <typename T, typename Pred>
-class TakeWhileSpliterator final : public Spliterator<T>,
-                                   public FusableStage {
- public:
-  using Action = typename Spliterator<T>::Action;
-
-  TakeWhileSpliterator(std::unique_ptr<Spliterator<T>> upstream, Pred pred)
-      : upstream_(std::move(upstream)), pred_(std::move(pred)) {}
-
-  bool try_advance(Action action) override {
-    if (done_) return false;
-    bool delivered = false;
-    const bool advanced = upstream_->try_advance([&](const T& v) {
-      if (pred_(v)) {
-        action(v);
-        delivered = true;
-      } else {
-        done_ = true;
-      }
-    });
-    if (!advanced) done_ = true;
-    return delivered;
-  }
-
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
-
-  std::uint64_t estimate_size() const override {
-    return done_ ? 0 : upstream_->estimate_size();
-  }
-
-  Characteristics characteristics() const override {
-    return upstream_->characteristics() &
-           ~(kSized | kSubsized | kPower2);
-  }
-
-  std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    auto fused = fuse_pipeline<T>(upstream_);
-    fused->append_stage(std::make_shared<TakeWhileStage<T, Pred>>(
-        std::make_shared<const Pred>(pred_)));
-    return fused;
-  }
-
- private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  Pred pred_;
-  bool done_ = false;
-};
-
-/// dropWhile wrapper: skips the satisfying prefix, then passes through.
-/// Fuses as a DropWhileSink; its still-dropping flag makes the chain
-/// single-leaf-only.
-template <typename T, typename Pred>
-class DropWhileSpliterator final : public Spliterator<T>,
-                                   public FusableStage {
- public:
-  using Action = typename Spliterator<T>::Action;
-
-  DropWhileSpliterator(std::unique_ptr<Spliterator<T>> upstream, Pred pred)
-      : upstream_(std::move(upstream)), pred_(std::move(pred)) {}
-
-  bool try_advance(Action action) override {
-    while (dropping_) {
-      bool kept = false;
-      const bool advanced = upstream_->try_advance([&](const T& v) {
-        if (!pred_(v)) {
-          dropping_ = false;
-          action(v);
-          kept = true;
-        }
-      });
-      if (!advanced) {
-        dropping_ = false;
-        return false;
-      }
-      if (kept) return true;
-    }
-    return upstream_->try_advance(action);
+    return buffer().try_advance(action);
   }
 
   void for_each_remaining(Action action) override {
-    if (!dropping_) {
-      upstream_->for_each_remaining(action);
-      return;
-    }
-    Spliterator<T>::for_each_remaining(action);
+    buffer().for_each_remaining(action);
   }
 
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
+  std::pair<const T*, std::size_t> try_contiguous_chunk(
+      std::size_t max_n) override {
+    return buffer().try_contiguous_chunk(max_n);
+  }
 
+  std::unique_ptr<Spliterator<T>> try_split() override {
+    return buffer().try_split();
+  }
+
+  // The shape probes buffer eagerly: sorted is a full barrier regardless,
+  // and the buffer recovers exact sizing even when upstream obscured it —
+  // the planner must see the same shape the drive will.
   std::uint64_t estimate_size() const override {
-    return upstream_->estimate_size();
+    return buffer().estimate_size();
   }
 
   Characteristics characteristics() const override {
-    return upstream_->characteristics() &
-           ~(kSized | kSubsized | kPower2);
+    return buffer().characteristics() | kSorted;
   }
 
-  std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    auto fused = fuse_pipeline<T>(upstream_);
-    fused->append_stage(std::make_shared<DropWhileStage<T, Pred>>(
-        std::make_shared<const Pred>(pred_)));
-    return fused;
+  std::optional<OutputWindow> try_output_window() const override {
+    // Only the materialised buffer can name destination positions.
+    return output_window_of(buffer());
   }
 
  private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  Pred pred_;
-  bool dropping_ = true;
+  // Logically const: every observation goes through the buffer, so
+  // materialising it early never changes what callers see.
+  ArraySpliterator<T>& buffer() const {
+    if (!buffer_) {
+      auto values = std::make_shared<std::vector<T>>();
+      const auto push = [&](const T& v) { values->push_back(v); };
+      ForEachSink<T, decltype(push)> sink(push);
+      upstream_->drive(sink);
+      upstream_.reset();
+      std::sort(values->begin(), values->end(), cmp_);
+      buffer_ = std::make_unique<ArraySpliterator<T>>(
+          std::shared_ptr<const std::vector<T>>(std::move(values)));
+    }
+    return *buffer_;
+  }
+
+  mutable std::unique_ptr<FusedPipeline> upstream_;
+  Cmp cmp_;
+  mutable std::unique_ptr<ArraySpliterator<T>> buffer_;
 };
 
 }  // namespace detail
@@ -199,8 +112,9 @@ class Stream {
  public:
   /// Adopt a spliterator (the analogue of StreamSupport.stream).
   Stream(std::unique_ptr<Spliterator<T>> source, bool parallel)
-      : source_(std::move(source)), parallel_(parallel) {
-    PLS_CHECK(source_ != nullptr, "Stream requires a source spliterator");
+      : parallel_(parallel) {
+    PLS_CHECK(source != nullptr, "Stream requires a source spliterator");
+    pipeline_ = fuse_source(source);
   }
 
   // ---- factories ----------------------------------------------------
@@ -240,13 +154,15 @@ class Stream {
   static Stream<T> iterate(T seed, Next next);
 
   /// All elements of `a`, then all elements of `b` (Stream.concat).
-  /// Execution settings are taken from `a`.
+  /// Execution settings are taken from `a`. A side without stages joins
+  /// as its bare source; a side with stages is pulled through the
+  /// pipeline adapter (FusedSpliterator).
   static Stream<T> concat(Stream<T> a, Stream<T> b) {
-    Stream<T> out(std::make_unique<ConcatSpliterator<T>>(
-                      std::move(a.source_), std::move(b.source_)),
-                  a.parallel_);
-    out.config_ = a.config_;
-    return out;
+    std::unique_ptr<Spliterator<T>> joined =
+        std::make_unique<ConcatSpliterator<T>>(
+            as_spliterator<T>(a.take_pipeline()),
+            as_spliterator<T>(b.take_pipeline()));
+    return Stream<T>(fuse_source(joined), a.parallel_, a.config_);
   }
 
   // ---- execution configuration --------------------------------------
@@ -305,81 +221,83 @@ class Stream {
   }
 
   // ---- intermediate operations (consume the stream) ------------------
+  //
+  // Each appends its StageNode (streams/fusion.hpp) to the pipeline.
 
   template <typename Fn>
   auto map(Fn fn) && {
     using U = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
-    auto shared = std::make_shared<const Fn>(std::move(fn));
-    return rewrap<U>(std::make_unique<MapSpliterator<U, T, Fn>>(
-        std::move(source_), shared));
+    return append<U>(std::make_shared<MapStage<U, T, Fn>>(
+        std::make_shared<const Fn>(std::move(fn))));
   }
 
   template <typename Pred>
   Stream<T> filter(Pred pred) && {
-    auto shared = std::make_shared<const Pred>(std::move(pred));
-    return rewrap<T>(std::make_unique<FilterSpliterator<T, Pred>>(
-        std::move(source_), shared));
+    return append<T>(std::make_shared<FilterStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
   template <typename Fn>
   Stream<T> peek(Fn observer) && {
-    auto shared = std::make_shared<const Fn>(std::move(observer));
-    return rewrap<T>(std::make_unique<PeekSpliterator<T, Fn>>(
-        std::move(source_), shared));
+    return append<T>(std::make_shared<PeekStage<T, Fn>>(
+        std::make_shared<const Fn>(std::move(observer))));
   }
 
+  /// Fn(T) -> std::vector<U>, concatenating the results.
   template <typename Fn>
   auto flat_map(Fn fn) && {
     using Vec = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
     using U = typename Vec::value_type;
-    auto shared = std::make_shared<const Fn>(std::move(fn));
-    return rewrap<U>(std::make_unique<FlatMapSpliterator<U, T, Fn>>(
-        std::move(source_), shared));
+    return append<U>(std::make_shared<FlatMapStage<U, T, Fn>>(
+        std::make_shared<const Fn>(std::move(fn))));
   }
 
-  /// Truncate to at most n elements (sequential slicing semantics).
+  /// Truncate to at most n elements. Sequential slicing semantics: the
+  /// stage cancels, so the pipeline never splits (slicing a parallel
+  /// pipeline deterministically needs encounter-order bookkeeping that
+  /// Java, too, pays a heavy price for).
   Stream<T> limit(std::uint64_t n) && {
-    return rewrap<T>(std::make_unique<detail::SliceSpliterator<T>>(
-        std::move(source_), 0, n));
+    return append<T>(std::make_shared<SliceStage<T>>(0, n));
   }
 
   /// Drop the first n elements (sequential slicing semantics).
   Stream<T> skip(std::uint64_t n) && {
-    return rewrap<T>(std::make_unique<detail::SliceSpliterator<T>>(
-        std::move(source_), n,
-        std::numeric_limits<std::uint64_t>::max()));
+    return append<T>(std::make_shared<SliceStage<T>>(
+        n, std::numeric_limits<std::uint64_t>::max()));
   }
 
   /// Longest prefix satisfying the predicate (Java 9's takeWhile).
   /// Sequential slicing semantics, like limit.
   template <typename Pred>
   Stream<T> take_while(Pred pred) && {
-    return rewrap<T>(std::make_unique<detail::TakeWhileSpliterator<T, Pred>>(
-        std::move(source_), std::move(pred)));
+    return append<T>(std::make_shared<TakeWhileStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
-  /// Drop the longest prefix satisfying the predicate (dropWhile).
+  /// Drop the longest prefix satisfying the predicate (dropWhile). Its
+  /// still-dropping flag makes the chain single-leaf-only.
   template <typename Pred>
   Stream<T> drop_while(Pred pred) && {
-    return rewrap<T>(std::make_unique<detail::DropWhileSpliterator<T, Pred>>(
-        std::move(source_), std::move(pred)));
+    return append<T>(std::make_shared<DropWhileStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
   /// Sort the elements (stateful: materialises lazily at first
-  /// traversal, like Java's sorted()). The buffer point restarts fusion:
-  /// terminals re-enter fuse_pipeline on the sorted buffer as a fresh
-  /// windowed array source, so downstream stages still fuse.
+  /// observation, like Java's sorted()). The pipeline restarts on the
+  /// sorted buffer as a fresh windowed array source, so downstream stages
+  /// still fuse.
   template <typename Cmp = std::less<T>>
   Stream<T> sorted(Cmp cmp = Cmp{}) && {
-    return rewrap<T>(std::make_unique<SortedSpliterator<T, Cmp>>(
-        std::move(source_), std::move(cmp)));
+    std::unique_ptr<Spliterator<T>> buffer =
+        std::make_unique<detail::SortedBufferSource<T, Cmp>>(take_pipeline(),
+                                                             std::move(cmp));
+    return Stream<T>(fuse_source(buffer), parallel_, config_);
   }
 
-  /// Remove duplicates, keeping first occurrences (stateful). Fuses as a
-  /// DistinctSink; the seen-set makes the chain single-leaf-only.
+  /// Remove duplicates, keeping first occurrences (stateful: the seen-set
+  /// makes the chain single-leaf-only).
   Stream<T> distinct() && {
-    return rewrap<T>(std::make_unique<DistinctSpliterator<T>>(
-        std::move(source_)));
+    return append<T>(std::make_shared<DistinctStage<T>>());
   }
 
   // ---- typed static pipeline -----------------------------------------
@@ -398,8 +316,7 @@ class Stream {
   /// paper's adaptation).
   template <typename C>
   typename C::result_type collect(const C& collector) && {
-    return evaluate(source_, terminals::collect(collector), parallel_,
-                    config_);
+    return run(terminals::collect(collector));
   }
 
   /// Three-function collect, as in the paper's snippets:
@@ -409,34 +326,31 @@ class Stream {
                CombineFn combine) && {
     auto c = make_collector<T>(std::move(supply), std::move(accumulate),
                                std::move(combine));
-    return evaluate(source_, terminals::collect(c), parallel_, config_);
+    return run(terminals::collect(c));
   }
 
   /// Reduce with an associative operator; nullopt on an empty stream.
   template <typename Op>
   std::optional<T> reduce(Op op) && {
-    return evaluate(source_, terminals::reduce(op), parallel_, config_);
+    return run(terminals::reduce(op));
   }
 
   /// Reduce with identity; `identity` must be a true identity of `op`.
   template <typename Op>
   T reduce(T identity, Op op) && {
-    auto r = evaluate(source_, terminals::reduce(op), parallel_, config_);
+    auto r = run(terminals::reduce(op));
     return r.has_value() ? std::move(*r) : std::move(identity);
   }
 
   template <typename Fn>
   void for_each(Fn fn) && {
-    evaluate(source_, terminals::for_each(fn), parallel_, config_);
+    run(terminals::for_each(fn));
   }
 
-  std::uint64_t count() && {
-    return evaluate(source_, terminals::count(), parallel_, config_);
-  }
+  std::uint64_t count() && { return run(terminals::count()); }
 
   std::vector<T> to_vector() && {
-    return evaluate(source_, terminals::collect(VectorCollector<T>{}),
-                    parallel_, config_);
+    return run(terminals::collect(VectorCollector<T>{}));
   }
 
   template <typename Cmp = std::less<T>>
@@ -465,54 +379,72 @@ class Stream {
   /// first deciding element.
   template <typename Pred>
   bool any_match(Pred pred) && {
-    return evaluate(source_, terminals::any_match(pred), parallel_, config_);
+    return run(terminals::any_match(pred));
   }
 
   /// Direct cancelling sink — not a negated any_match, so no negated
   /// predicate wrapper is evaluated per element.
   template <typename Pred>
   bool all_match(Pred pred) && {
-    return evaluate(source_, terminals::all_match(pred), parallel_, config_);
+    return run(terminals::all_match(pred));
   }
 
   template <typename Pred>
   bool none_match(Pred pred) && {
-    return evaluate(source_, terminals::none_match(pred), parallel_, config_);
+    return run(terminals::none_match(pred));
   }
 
-  std::optional<T> find_first() && {
-    return evaluate(source_, terminals::find_first(), parallel_, config_);
-  }
+  std::optional<T> find_first() && { return run(terminals::find_first()); }
 
   // ---- introspection --------------------------------------------------
 
-  /// The underlying spliterator (e.g. to check the POWER2 characteristic
-  /// before applying a PowerList function, as the paper's snippet does).
-  const Spliterator<T>& spliterator() const { return *source_; }
-
+  /// The pipeline's characteristic flags: the source's, folded through
+  /// every stage (e.g. to check POWER2 before applying a PowerList
+  /// function, as the paper's snippet does).
   Characteristics characteristics() const {
-    return source_->characteristics();
+    return pipeline_->output_characteristics();
   }
 
-  std::uint64_t estimate_size() const { return source_->estimate_size(); }
+  /// The pipeline's size estimate (exact while characteristics() has
+  /// kSized).
+  std::uint64_t estimate_size() const { return pipeline_->output_estimate(); }
 
  private:
+  Stream(std::unique_ptr<FusedPipeline> pipeline, bool parallel,
+         const ExecutionConfig& config)
+      : pipeline_(std::move(pipeline)), parallel_(parallel), config_(config) {
+    PLS_CHECK(pipeline_ != nullptr && pipeline_->output_type() == typeid(T),
+              "Stream requires a pipeline of its element type");
+  }
+
+  std::unique_ptr<FusedPipeline> take_pipeline() {
+    PLS_CHECK(pipeline_ != nullptr, "Stream is single-use");
+    return std::move(pipeline_);
+  }
+
   template <typename U>
-  Stream<U> rewrap(std::unique_ptr<Spliterator<U>> source) {
-    Stream<U> out(std::move(source), parallel_);
-    out.config_ = config_;
-    return out;
+  Stream<U> append(std::shared_ptr<const StageNode> stage) {
+    auto pipeline = take_pipeline();
+    pipeline->append_stage(std::move(stage));
+    return Stream<U>(std::move(pipeline), parallel_, config_);
+  }
+
+  template <typename Term>
+  auto run(const Term& term) {
+    const auto pipeline = take_pipeline();
+    return evaluate_fused<T>(*pipeline, term, parallel_, config_,
+                             PlanOrigin::kDynamic);
   }
 
   template <typename U>
   friend class Stream;
 
-  // The typed static pipeline adopts a stream's source and settings
+  // The typed static pipeline adopts a stream's pipeline and settings
   // (streams/static_fusion.hpp).
   template <typename S, typename... Ops>
   friend class StaticPipeline;
 
-  std::unique_ptr<Spliterator<T>> source_;
+  std::unique_ptr<FusedPipeline> pipeline_;
   bool parallel_ = false;
   ExecutionConfig config_{};
 };

@@ -1,5 +1,5 @@
-// Admission boundary of the destination-passing collect (PR 2): the
-// planner predicate plan_dps_window must admit exactly the
+// Admission boundary of the destination-passing collect: the decision a
+// collect terminal actually makes (last_plan().dps) must admit exactly the
 // windowed, exactly-sized, power-of-two sources — and both routes must
 // produce identical results, so a misrouted pipeline is a performance bug,
 // never a correctness bug.
@@ -12,8 +12,7 @@
 #include "forkjoin/pool.hpp"
 #include "proptest/pipelines.hpp"
 #include "proptest/prop.hpp"
-#include "streams/parallel_eval.hpp"
-#include "streams/spliterators.hpp"
+#include "streams/plan.hpp"
 #include "streams/stream.hpp"
 
 namespace {
@@ -27,21 +26,23 @@ Config suite_config(int iterations) {
   return cfg;
 }
 
-/// Routing matches the documented predicate. All generated sources
-/// (Array/Range/Generate) are windowed and SIZED|SUBSIZED; map/peek
-/// delegate windows 1:1 while filter/limit/take_while wrappers drop the
-/// window, so admission must reduce to "power-of-two count and an
-/// all-1:1 chain" — expects_dps_admission.
+/// The DPS verdict of a to_vector() terminal over a freshly built stream.
+bool collect_takes_dps(streams::Stream<std::int64_t> stream) {
+  (void)std::move(stream).to_vector();
+  return streams::last_plan().dps;
+}
+
+/// Routing matches the documented predicate. Array/Range/Generate sources
+/// are windowed and SIZED|SUBSIZED; only an all-1:1 chain (map/peek)
+/// keeps the window meaningful, so admission must reduce to
+/// "power-of-two count and an all-1:1 chain" — expects_dps_admission.
 TEST(RoutingAdmission, WindowPresenceMatchesPowerOfTwoPredicate) {
   const auto result = check(
-      "plan_dps_window present == power-of-two size", suite_config(150),
+      "collect takes DPS == power-of-two size", suite_config(150),
       [](Rand& r) { return gen_pipeline(r, 10); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
-        const auto stream = build_stream(s);
-        const bool admitted =
-            streams::plan_dps_window(stream.spliterator())
-                .has_value();
+        const bool admitted = collect_takes_dps(build_stream(s));
         if (admitted != expects_dps_admission(s)) {
           return PropStatus::fail(
               admitted
@@ -54,9 +55,9 @@ TEST(RoutingAdmission, WindowPresenceMatchesPowerOfTwoPredicate) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Wrappers that lose exact sizing or the window (filter, slice,
-/// flat_map, concat) must always route to the legacy collect, even over a
-/// power-of-two source.
+/// Ops that lose exact sizing or the window (filter, slice, flat_map,
+/// concat) must always route to the supplier/combiner collect, even over
+/// a power-of-two source.
 TEST(RoutingAdmission, SizeObscuringWrappersAreNeverAdmitted) {
   const auto result = check(
       "filter/slice/flat_map/concat are never admitted", suite_config(60),
@@ -67,7 +68,7 @@ TEST(RoutingAdmission, SizeObscuringWrappersAreNeverAdmitted) {
       },
       [](const std::pair<PipelineShape, std::uint64_t>& c) -> PropStatus {
         const PipelineShape& s = c.first;
-        const auto wrapped = [&]() -> streams::Stream<std::int64_t> {
+        auto wrapped = [&]() -> streams::Stream<std::int64_t> {
           switch (c.second) {
             case 0:
               return build_stream(s).filter(
@@ -83,10 +84,9 @@ TEST(RoutingAdmission, SizeObscuringWrappersAreNeverAdmitted) {
                   build_stream(s), build_stream(s));
           }
         }();
-        if (streams::plan_dps_window(wrapped.spliterator())
-                .has_value()) {
+        if (collect_takes_dps(std::move(wrapped))) {
           return PropStatus::fail(
-              "size-obscuring wrapper kept DPS admission (variant " +
+              "size-obscuring op kept DPS admission (variant " +
               std::to_string(c.second) + ")");
         }
         return PropStatus::pass();
@@ -134,11 +134,7 @@ TEST(RoutingAdmission, ExactBoundaryAroundPowersOfTwo) {
       s.source = SourceKind::kRange;
       s.size = n;
       s.data_seed = 1234;
-      const auto stream = build_stream(s);
-      EXPECT_EQ(
-          streams::plan_dps_window(stream.spliterator())
-              .has_value(),
-          pls::is_power_of_two(n))
+      EXPECT_EQ(collect_takes_dps(build_stream(s)), pls::is_power_of_two(n))
           << "n=" << n;
     }
   }

@@ -1,8 +1,9 @@
 // Spliterator contract law suite: every spliterator type in
 // src/streams/spliterators.hpp (Array, Range, Generate, Concat) and
 // src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) — plus the
-// map/peek/filter pipeline wrappers — checked against the generic
-// contract checker over generated sizes, values, and split decisions.
+// pull adapter (FusedSpliterator) over map/peek/filter pipelines —
+// checked against the generic contract checker over generated sizes,
+// values, and split decisions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include "proptest/gen.hpp"
 #include "proptest/laws.hpp"
 #include "proptest/prop.hpp"
-#include "streams/pipeline_spliterators.hpp"
+#include "streams/fusion.hpp"
 #include "streams/spliterators.hpp"
 
 namespace {
@@ -172,55 +173,54 @@ TEST(SpliteratorLaws, Zip) {
       SplitOrder::kInterleaved);
 }
 
+/// The pull adapter over an Array source plus one stage: the law suite
+/// sees the pipeline exactly as concat pulls a side that carries stages.
+template <typename Stage>
+void run_adapter_suite(const char* name, std::shared_ptr<const Stage> stage) {
+  run_suite(name, false, [stage](const Case& c) {
+    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
+    return [shared, stage]() -> SpInt {
+      SpInt source =
+          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
+      auto fp = streams::fuse_source(source);
+      fp->append_stage(stage);
+      return std::make_unique<streams::FusedSpliterator<std::int64_t>>(
+          std::move(fp));
+    };
+  });
+}
+
 TEST(SpliteratorLaws, MapWrapper) {
   struct Twice {
     std::int64_t operator()(const std::int64_t& v) const {
       return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) * 2);
     }
   };
-  run_suite("MapSpliterator laws", false, [](const Case& c) {
-    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto fn = std::make_shared<const Twice>();
-    return [shared, fn]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<
-          streams::MapSpliterator<std::int64_t, std::int64_t, Twice>>(
-          std::move(upstream), fn);
-    };
-  });
+  run_adapter_suite(
+      "FusedSpliterator(map) laws",
+      std::make_shared<const streams::MapStage<std::int64_t, std::int64_t,
+                                               Twice>>(
+          std::make_shared<const Twice>()));
 }
 
 TEST(SpliteratorLaws, FilterWrapper) {
   struct Odd {
     bool operator()(const std::int64_t& v) const { return (v & 1) != 0; }
   };
-  run_suite("FilterSpliterator laws", false, [](const Case& c) {
-    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto pred = std::make_shared<const Odd>();
-    return [shared, pred]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<streams::FilterSpliterator<std::int64_t, Odd>>(
-          std::move(upstream), pred);
-    };
-  });
+  run_adapter_suite(
+      "FusedSpliterator(filter) laws",
+      std::make_shared<const streams::FilterStage<std::int64_t, Odd>>(
+          std::make_shared<const Odd>()));
 }
 
 TEST(SpliteratorLaws, PeekWrapper) {
   struct Noop {
     void operator()(const std::int64_t&) const {}
   };
-  run_suite("PeekSpliterator laws", false, [](const Case& c) {
-    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto fn = std::make_shared<const Noop>();
-    return [shared, fn]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<streams::PeekSpliterator<std::int64_t, Noop>>(
-          std::move(upstream), fn);
-    };
-  });
+  run_adapter_suite(
+      "FusedSpliterator(peek) laws",
+      std::make_shared<const streams::PeekStage<std::int64_t, Noop>>(
+          std::make_shared<const Noop>()));
 }
 
 }  // namespace

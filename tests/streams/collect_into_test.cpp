@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "streams/pipeline_spliterators.hpp"
 
 #include "observe/counters.hpp"
 #include "streams/collectors.hpp"
@@ -26,7 +23,6 @@ using pls::observe::aggregate_counters;
 using pls::observe::CounterTotals;
 using pls::observe::kEnabled;
 using pls::streams::ArraySpliterator;
-using pls::streams::FilterSpliterator;
 using pls::streams::OutputWindow;
 using pls::streams::SizedSinkCollector;
 using pls::streams::Stream;
@@ -62,13 +58,15 @@ TEST(SizedSinkAdmission, NonPowerOfTwoFallsBack) {
 }
 
 TEST(SizedSinkAdmission, UnsizedSourceFallsBack) {
-  auto data = std::make_shared<const std::vector<int>>(test_data(8));
-  auto pred = std::make_shared<const std::function<bool(const int&)>>(
-      [](const int&) { return true; });
-  FilterSpliterator<int, std::function<bool(const int&)>> sp(
-      std::make_unique<ArraySpliterator<int>>(data), pred);
-  EXPECT_FALSE(sp.has(pls::streams::kSized));
-  EXPECT_FALSE(pls::streams::plan_dps_window(sp).has_value());
+  auto stream = Stream<int>::of(test_data(8)).filter([](const int&) {
+    return true;
+  });
+  EXPECT_FALSE(pls::streams::has_characteristics(stream.characteristics(),
+                                                 pls::streams::kSized));
+  EXPECT_EQ(std::move(stream).to_vector(), test_data(8));
+  EXPECT_FALSE(pls::streams::last_plan().dps);
+  EXPECT_EQ(pls::streams::last_plan().dps_reason,
+            pls::streams::PlanReason::kChainNotOneToOne);
 }
 
 // ---- the zero-copy guarantee ----------------------------------------

@@ -43,7 +43,7 @@ std::unique_ptr<streams::Spliterator<int>> array_source(std::size_t n) {
 }
 
 /// Fuse `sp` (consuming it) and plan a terminal over the fused form, the
-/// way evaluate() does.
+/// way evaluate_fused() does.
 struct Planned {
   ExecutionPlan plan;
   std::unique_ptr<streams::FusedPipeline> fused;
@@ -54,7 +54,7 @@ Planned plan_pipeline(std::unique_ptr<streams::Spliterator<int>>& sp,
                       bool chunk_collector, bool parallel,
                       const ExecutionConfig& cfg) {
   Planned out;
-  out.fused = streams::fuse_pipeline<int>(sp);
+  out.fused = streams::fuse_source(sp);
   out.plan =
       streams::plan_fused_pipeline(*out.fused, kind, collector_sized,
                                    chunk_collector, parallel, cfg,

@@ -4,6 +4,8 @@
 // dropped by size-changing ones.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <numeric>
 
 #include "powerlist/collector_functions.hpp"
@@ -103,17 +105,20 @@ TEST(Power2Pipeline, ZipSourceThroughReduceMatchesTieSource) {
 }
 
 TEST(Power2Pipeline, SplitHalvesKeepPower2ThroughMap) {
-  auto data = shared_n(16);
-  auto base = std::make_unique<ZipSpliterator<double>>(data);
-  auto fn = std::make_shared<const std::function<double(const double&)>>(
-      [](const double& d) { return d; });
-  pls::streams::MapSpliterator<double, double,
-                               std::function<double(const double&)>>
-      mapped(std::move(base), fn);
-  auto prefix = mapped.try_split();
+  using Fn = std::function<double(const double&)>;
+  std::unique_ptr<pls::streams::Spliterator<double>> base =
+      std::make_unique<ZipSpliterator<double>>(shared_n(16));
+  auto mapped = pls::streams::fuse_source(base);
+  mapped->append_stage(
+      std::make_shared<pls::streams::MapStage<double, double, Fn>>(
+          std::make_shared<const Fn>([](const double& d) { return d; })));
+  auto prefix = mapped->try_split();
   ASSERT_NE(prefix, nullptr);
-  EXPECT_TRUE(prefix->has(kPower2));
-  EXPECT_TRUE(mapped.has(kPower2));
+  EXPECT_EQ(prefix->stage_count(), 1u);
+  EXPECT_TRUE(pls::streams::has_characteristics(
+      prefix->output_characteristics(), kPower2));
+  EXPECT_TRUE(pls::streams::has_characteristics(
+      mapped->output_characteristics(), kPower2));
 }
 
 }  // namespace

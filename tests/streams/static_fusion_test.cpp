@@ -71,8 +71,8 @@ TEST(StaticPipeline, StreamStagesAdoptsSourceAndSettings) {
 }
 
 TEST(StaticPipeline, DynamicOpsUpstreamOfStaticStack) {
-  // Ops applied to the Stream before stages() run as dynamic wrapper
-  // stages below the static stack; results compose.
+  // Ops applied to the Stream before stages() run as dynamic stages
+  // below the static stack; results compose.
   auto out = Stream<std::int64_t>::of(iota(20))
                  .map([](std::int64_t v) { return v + 100; })
                  .stages(filter([](std::int64_t v) { return v % 2 == 0; }))
@@ -209,46 +209,46 @@ TEST(StaticPipeline, OverRangeAndShared) {
   EXPECT_EQ(a.back(), 16);
 }
 
-// ---- unified evaluate() dispatch (the deprecation satellite) ----------
+// ---- unified evaluate_fused() dispatch --------------------------------
+
+/// A stage-free pipeline over `data`, the shape every Stream starts as.
+std::unique_ptr<streams::FusedPipeline> fused_array(
+    const std::vector<std::int64_t>& data) {
+  std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
+      std::make_unique<streams::ArraySpliterator<std::int64_t>>(
+          std::make_shared<const std::vector<std::int64_t>>(data));
+  return streams::fuse_source(sp);
+}
 
 TEST(UnifiedEvaluate, TerminalDescriptorsMatchStreamTerminals) {
   const auto data = iota(40);
   {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-        std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
     auto op = [](std::int64_t a, std::int64_t b) { return a + b; };
-    auto r = streams::evaluate(sp, streams::terminals::reduce(op), false);
+    auto r = streams::evaluate_fused<std::int64_t>(
+        *fused_array(data), streams::terminals::reduce(op), false);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(*r, 780);
   }
+  EXPECT_EQ(streams::evaluate_fused<std::int64_t>(
+                *fused_array(data), streams::terminals::count(), false),
+            40u);
   {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-        std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
-    EXPECT_EQ(streams::evaluate(sp, streams::terminals::count(), false), 40u);
-  }
-  {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-        std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
     std::int64_t sum = 0;
-    streams::evaluate(
-        sp,
+    streams::evaluate_fused<std::int64_t>(
+        *fused_array(data),
         streams::terminals::for_each([&](const std::int64_t& v) { sum += v; }),
         false);
     EXPECT_EQ(sum, 780);
   }
 }
 
-TEST(UnifiedEvaluate, DeprecatedAliasesStillWork) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-      std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-          std::make_shared<const std::vector<std::int64_t>>(iota(10)));
-  EXPECT_EQ(streams::evaluate(sp, streams::terminals::count(), false), 10u);
-#pragma GCC diagnostic pop
+/// The dynamic-origin call every Stream terminal makes, recorded as such.
+TEST(UnifiedEvaluate, DynamicOriginIsRecorded) {
+  EXPECT_EQ(streams::evaluate_fused<std::int64_t>(
+                *fused_array(iota(10)), streams::terminals::count(), false,
+                {}, streams::PlanOrigin::kDynamic),
+            10u);
+  EXPECT_EQ(streams::last_plan().origin, streams::PlanOrigin::kDynamic);
 }
 
 }  // namespace
