@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "forkjoin/pool.hpp"
+#include "powerlist/spliterators.hpp"
 #include "streams/collector.hpp"
 #include "streams/parallel_eval.hpp"
 #include "streams/spliterator.hpp"
@@ -49,60 +50,14 @@ class MultiwaySpliterator : public streams::Spliterator<T> {
 
 namespace detail {
 
-/// Shared strided-window plumbing for the two concrete multiway sources.
-/// Like SpliteratorPower2, the (start, incr, count) triple doubles as the
-/// destination window of the destination-passing collect: both n-way
-/// split rules partition the parent's window (n-way tie keeps the stride,
-/// n-way zip multiplies it by n), so the multi-way contract extends the
-/// WindowedSource one — every part of try_split_n is itself windowed.
+/// The strided-window plumbing the binary PowerList spliterators use: both
+/// n-way split rules partition the parent's (start, incr, count) window
+/// (n-way tie keeps the stride, n-way zip multiplies it by n), so every
+/// part of try_split_n is itself windowed and hands its window to the
+/// fused chunk transport as one strided span.
 template <typename T>
-class StridedMultiwayBase : public MultiwaySpliterator<T>,
-                            public streams::WindowedSource {
- public:
-  using Action = typename streams::Spliterator<T>::Action;
-
-  StridedMultiwayBase(std::shared_ptr<const std::vector<T>> data,
-                      std::size_t start, std::size_t incr, std::size_t count)
-      : data_(std::move(data)), start_(start), incr_(incr), count_(count) {
-    PLS_CHECK(data_ != nullptr, "multiway spliterator requires storage");
-    PLS_CHECK(incr >= 1, "increment must be >= 1");
-    PLS_CHECK(count == 0 || start + (count - 1) * incr < data_->size(),
-              "strided window exceeds storage");
-  }
-
-  bool try_advance(Action action) override {
-    if (count_ == 0) return false;
-    action((*data_)[start_]);
-    start_ += incr_;
-    --count_;
-    return true;
-  }
-
-  void for_each_remaining(Action action) override {
-    const std::vector<T>& v = *data_;
-    std::size_t idx = start_;
-    for (std::size_t k = 0; k < count_; ++k, idx += incr_) action(v[idx]);
-    start_ = idx;
-    count_ = 0;
-  }
-
-  std::uint64_t estimate_size() const override { return count_; }
-
-  streams::Characteristics characteristics() const override {
-    return streams::kOrdered | streams::kSized | streams::kSubsized |
-           streams::kImmutable;
-  }
-
-  std::optional<streams::OutputWindow> try_output_window() const override {
-    return streams::OutputWindow{start_, incr_, count_};
-  }
-
- protected:
-  std::shared_ptr<const std::vector<T>> data_;
-  std::size_t start_;
-  std::size_t incr_;
-  std::size_t count_;
-};
+using StridedMultiwayBase =
+    powerlist::StridedWindowSpliterator<T, MultiwaySpliterator<T>>;
 
 }  // namespace detail
 
@@ -110,7 +65,7 @@ class StridedMultiwayBase : public MultiwaySpliterator<T>,
 template <typename T>
 class NTieSpliterator final : public detail::StridedMultiwayBase<T> {
  public:
-  using detail::StridedMultiwayBase<T>::StridedMultiwayBase;
+  using detail::StridedMultiwayBase<T>::StridedWindowSpliterator;
 
   explicit NTieSpliterator(std::shared_ptr<const std::vector<T>> data)
       : detail::StridedMultiwayBase<T>(data, 0, 1, data ? data->size() : 0) {}
@@ -137,7 +92,7 @@ class NTieSpliterator final : public detail::StridedMultiwayBase<T> {
 template <typename T>
 class NZipSpliterator final : public detail::StridedMultiwayBase<T> {
  public:
-  using detail::StridedMultiwayBase<T>::StridedMultiwayBase;
+  using detail::StridedMultiwayBase<T>::StridedWindowSpliterator;
 
   explicit NZipSpliterator(std::shared_ptr<const std::vector<T>> data)
       : detail::StridedMultiwayBase<T>(data, 0, 1, data ? data->size() : 0) {}

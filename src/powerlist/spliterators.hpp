@@ -2,9 +2,10 @@
 // Section IV-A (Figure 1 of the paper).
 //
 // Both derive from SpliteratorPower2, which models a strided window over
-// shared storage as (start, increment, count) and contributes the POWER2
-// characteristic whenever the remaining element count is a power of two —
-// the admission test for applying PowerList functions to a stream.
+// shared storage as (start, increment, count) (StridedWindowSpliterator)
+// and contributes the POWER2 characteristic whenever the remaining element
+// count is a power of two — the admission test for applying PowerList
+// functions to a stream.
 //
 //   TieSpliterator::try_split  — carves off the first half, same stride
 //                                (the default "segment" partitioning).
@@ -27,25 +28,28 @@
 
 namespace pls::powerlist {
 
-/// Base for PowerList spliterators: a strided view (start, incr, count)
-/// over shared storage, plus the POWER2 characteristic.
+/// A strided view (start, incr, count) over shared storage: the traversal,
+/// window and span plumbing shared by every strided source here and by
+/// the plist n-way spliterators (Base is the spliterator interface they
+/// implement). Subclasses supply the split rule and the flags.
 ///
 /// The (start, incr, count) triple doubles as the destination window of
 /// the destination-passing collect (streams::WindowedSource): the root's
-/// encounter order is storage order, and both split rules transform the
-/// triple exactly the way the result positions partition — tie keeps the
-/// stride and halves the count, zip doubles the stride — so a leaf's
+/// encounter order is storage order, and every split rule here transforms
+/// the triple exactly the way the result positions partition — tie keeps
+/// the stride and halves the count, zip doubles the stride — so a leaf's
 /// source window *is* its output window.
-template <typename T>
-class SpliteratorPower2 : public streams::Spliterator<T>,
-                          public streams::WindowedSource {
+template <typename T, typename Base = streams::Spliterator<T>>
+class StridedWindowSpliterator : public Base,
+                                 public streams::WindowedSource {
  public:
   using Action = typename streams::Spliterator<T>::Action;
 
-  SpliteratorPower2(std::shared_ptr<const std::vector<T>> data,
-                    std::size_t start, std::size_t incr, std::size_t count)
+  StridedWindowSpliterator(std::shared_ptr<const std::vector<T>> data,
+                           std::size_t start, std::size_t incr,
+                           std::size_t count)
       : data_(std::move(data)), start_(start), incr_(incr), count_(count) {
-    PLS_CHECK(data_ != nullptr, "SpliteratorPower2 requires storage");
+    PLS_CHECK(data_ != nullptr, "strided spliterator requires storage");
     PLS_CHECK(incr >= 1, "increment must be >= 1");
     PLS_CHECK(count == 0 || start + (count - 1) * incr < data_->size(),
               "strided window exceeds storage");
@@ -67,31 +71,26 @@ class SpliteratorPower2 : public streams::Spliterator<T>,
     count_ = 0;
   }
 
+  /// The whole window as one strided span: unit-stride windows reach the
+  /// fused chunk transport (and its SIMD collector kernels) zero-copy;
+  /// strided ones (zip split products) are gathered a chunk at a time.
+  streams::StridedSpan<T> try_take_span() override {
+    const streams::StridedSpan<T> span{
+        data_->data() + (count_ == 0 ? 0 : start_), count_, incr_};
+    start_ += count_ * incr_;
+    count_ = 0;
+    return span;
+  }
+
   std::uint64_t estimate_size() const override { return count_; }
 
   streams::Characteristics characteristics() const override {
-    streams::Characteristics c = streams::kOrdered | streams::kSized |
-                                 streams::kSubsized | streams::kImmutable;
-    if (is_power_of_two(count_)) c |= streams::kPower2;
-    return c;
+    return streams::kOrdered | streams::kSized | streams::kSubsized |
+           streams::kImmutable;
   }
 
   std::optional<streams::OutputWindow> try_output_window() const override {
     return streams::OutputWindow{start_, incr_, count_};
-  }
-
-  /// Unit-stride windows are contiguous storage: hand the span straight to
-  /// the fused chunk transport (and its SIMD collector kernels) with no
-  /// per-element indirection. Strided windows (zip split products) keep
-  /// the element-at-a-time protocol.
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
-    if (incr_ != 1 || count_ == 0) return {nullptr, 0};
-    const std::size_t n = count_ < max_n ? count_ : max_n;
-    const T* p = data_->data() + start_;
-    start_ += n;
-    count_ -= n;
-    return {p, n};
   }
 
   std::size_t start() const noexcept { return start_; }
@@ -106,6 +105,21 @@ class SpliteratorPower2 : public streams::Spliterator<T>,
   std::size_t start_;
   std::size_t incr_;
   std::size_t count_;
+};
+
+/// Base for PowerList spliterators: a strided window that also carries
+/// the POWER2 characteristic.
+template <typename T>
+class SpliteratorPower2 : public StridedWindowSpliterator<T> {
+ public:
+  using StridedWindowSpliterator<T>::StridedWindowSpliterator;
+
+  streams::Characteristics characteristics() const override {
+    streams::Characteristics c =
+        StridedWindowSpliterator<T>::characteristics();
+    if (is_power_of_two(this->count_)) c |= streams::kPower2;
+    return c;
+  }
 };
 
 /// Linear ("segment") splitting — the PowerList tie operator.

@@ -2,7 +2,7 @@
 // rests on, checked against arbitrary implementations.
 //
 //   check_spliterator_laws — the Spliterator contract (java.util.Spliterator
-//     semantics): bulk/stepwise traversal agreement, SIZED bookkeeping,
+//     semantics): bulk/stepwise/span traversal agreement, SIZED bookkeeping,
 //     SUBSIZED split-size conservation, split disjointness + coverage in
 //     encounter order, and destination-window consistency for
 //     WindowedSource implementations (windows of split children partition
@@ -49,6 +49,21 @@ template <typename T>
 std::vector<T> drain_stepwise(streams::Spliterator<T>& sp) {
   std::vector<T> out;
   while (sp.try_advance([&](const T& v) { out.push_back(v); })) {
+  }
+  return out;
+}
+
+/// Consume every remaining element through the bulk-pull hook
+/// try_take_span, expanding (data, count, stride); nullopt when the
+/// source is not memory-backed (the span's data is null).
+template <typename T>
+std::optional<std::vector<T>> drain_span(streams::Spliterator<T>& sp) {
+  const streams::StridedSpan<T> span = sp.try_take_span();
+  if (span.data == nullptr) return std::nullopt;
+  std::vector<T> out;
+  out.reserve(span.count);
+  for (std::size_t k = 0; k < span.count; ++k) {
+    out.push_back(span.data[k * span.stride]);
   }
   return out;
 }
@@ -108,7 +123,11 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
   if (prefix == nullptr) {
     const std::uint64_t claimed = sp.estimate_size();
     const auto leaf_window = streams::output_window_of(sp);
-    std::vector<T> chunk = drain_bulk(sp);
+    // A coin picks the leaf's drain, so split products (strided zip
+    // windows included) exercise the span hook as well as the bulk one.
+    std::optional<std::vector<T>> spanned;
+    if (r.chance(1, 2)) spanned = drain_span(sp);
+    std::vector<T> chunk = spanned ? std::move(*spanned) : drain_bulk(sp);
     if (sized && claimed != chunk.size()) {
       std::ostringstream os;
       os << "leaf claimed " << claimed << " elements but yielded "
@@ -193,6 +212,36 @@ PropStatus check_spliterator_laws(
     if (step_sp->try_advance([](const T&) {})) {
       return detail::law_fail("traversal",
                               "try_advance succeeded after exhaustion");
+    }
+  }
+
+  {
+    // Span law: a memory-backed source hands over exactly the bulk
+    // sequence and is left empty; any other source consumes nothing.
+    auto span_sp = make();
+    const std::optional<std::vector<T>> spanned = drain_span(*span_sp);
+    if (!spanned) {
+      if (drain_bulk(*span_sp) != full) {
+        return detail::law_fail(
+            "span", "a null span consumed elements of the source");
+      }
+    } else {
+      if (*spanned != full) {
+        return detail::law_fail(
+            "span", "span and for_each_remaining sequences differ");
+      }
+      if (span_sp->estimate_size() != 0) {
+        return detail::law_fail("span",
+                                "estimate_size nonzero after taking the span");
+      }
+      if (span_sp->try_advance([](const T&) {})) {
+        return detail::law_fail("span",
+                                "try_advance succeeded after taking the span");
+      }
+      if (span_sp->try_take_span().count != 0) {
+        return detail::law_fail("span",
+                                "a second span yielded elements again");
+      }
     }
   }
 

@@ -23,6 +23,7 @@
 // to split, but keep the chunked transport within their single leaf.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -321,18 +322,32 @@ class FusedPipelineImpl final : public FusedPipeline {
     close();
   }
 
-  /// Chunked transport: contiguous sources hand whole spans straight into
-  /// the chain (zero copies, zero per-element calls at the seam);
-  /// computed sources batch through a buffer at one indirect call per
-  /// element. Non-copyable elements fall back to element pushes.
+  /// Chunked transport. A memory-backed source hands over its remaining
+  /// elements as one strided span: stride 1 goes to the chain whole (zero
+  /// copies), any other stride is gathered into the leaf's scratch buffer
+  /// a kFusionChunk batch at a time. Other sources batch through the same
+  /// buffer at one indirect call per element. Both batchings cut at the
+  /// same boundaries, so a source's results do not depend on its route.
+  /// Non-copyable elements fall back to element pushes.
   void drive_bulk(Sink<S>& head) {
-    for (;;) {
-      const auto [p, n] = source_->try_contiguous_chunk(~std::size_t{0});
-      if (p == nullptr) break;
-      head.accept_chunk(p, n);
+    const StridedSpan<S> span = source_->try_take_span();
+    if (span.data != nullptr && span.stride == 1) {
+      if (span.count != 0) head.accept_chunk(span.data, span.count);
+      return;
     }
     if constexpr (std::is_copy_constructible_v<S>) {
       std::vector<S> buf;
+      if (span.data != nullptr) {
+        buf.reserve(std::min(span.count, kFusionChunk));
+        for (std::size_t i = 0; i < span.count; i += kFusionChunk) {
+          const std::size_t m = std::min(span.count - i, kFusionChunk);
+          const S* p = span.data + i * span.stride;
+          buf.clear();
+          for (std::size_t j = 0; j < m; ++j) buf.push_back(p[j * span.stride]);
+          head.accept_chunk(buf.data(), m);
+        }
+        return;
+      }
       buf.reserve(kFusionChunk);
       source_->for_each_remaining([&](const S& v) {
         buf.push_back(v);
@@ -343,6 +358,9 @@ class FusedPipelineImpl final : public FusedPipeline {
       });
       if (!buf.empty()) head.accept_chunk(buf.data(), buf.size());
     } else {
+      for (std::size_t k = 0; k < span.count; ++k) {
+        head.accept(span.data[k * span.stride]);
+      }
       source_->for_each_remaining([&](const S& v) { head.accept(v); });
     }
   }

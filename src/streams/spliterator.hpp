@@ -11,15 +11,16 @@
 // The interface is virtual by design: the paper's central mechanism is a
 // Collector-owned spliterator subclass that performs extra work during the
 // splitting phase and mutates shared collector state; that requires runtime
-// polymorphism, as in Java. Hot paths traverse whole chunks through
-// for_each_remaining, so dispatch cost is per-chunk, not per-element.
+// polymorphism, as in Java. Memory-backed sources also answer one bulk
+// pull, try_take_span: all remaining elements as a strided span, which
+// the fused evaluator feeds to the sink chain a whole chunk per call.
+// Other sources pay one indirect call per element in for_each_remaining.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 
 #include "streams/characteristics.hpp"
 #include "support/function_ref.hpp"
@@ -57,6 +58,16 @@ class WindowedSource {
   virtual std::optional<OutputWindow> try_output_window() const = 0;
 };
 
+/// The remaining elements of a memory-backed spliterator: element k, in
+/// encounter order, is data[k * stride]. Null data means the source is
+/// not memory-backed (count is then 0).
+template <typename T>
+struct StridedSpan {
+  const T* data = nullptr;
+  std::size_t count = 0;
+  std::size_t stride = 1;
+};
+
 template <typename T>
 class Spliterator {
  public:
@@ -80,16 +91,14 @@ class Spliterator {
   }
 
   /// Bulk-pull hook for the fused evaluator (streams/fusion.hpp): when
-  /// the remaining elements live contiguously in memory, return a pointer
-  /// to the next min(max_n, remaining) of them and mark those consumed;
-  /// return {nullptr, 0} otherwise (the default). Lets a fused leaf feed
-  /// an array source's own storage straight into the sink chain with zero
-  /// copies and zero per-element calls at the source seam.
-  virtual std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) {
-    (void)max_n;
-    return {nullptr, 0};
-  }
+  /// the remaining elements live in memory at a fixed stride, return all
+  /// of them as one span and mark them consumed; otherwise return a span
+  /// with null data (the default) and consume nothing. A stride-1 span
+  /// reaches the sink chain zero-copy; a strided one (a zip split product)
+  /// is gathered a kFusionChunk batch at a time, so neither pays a
+  /// per-element call at the source seam. A subclass that specialises
+  /// for_each_remaining must keep the default, or the drive bypasses it.
+  virtual StridedSpan<T> try_take_span() { return {}; }
 
   /// Partition off a prefix of the remaining elements as a new
   /// spliterator, or return nullptr when this spliterator cannot or will

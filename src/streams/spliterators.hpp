@@ -48,14 +48,10 @@ class ArraySpliterator final : public Spliterator<T>, public WindowedSource {
     begin_ = end_;
   }
 
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
-    const std::size_t remaining = end_ - begin_;
-    const std::size_t n = remaining < max_n ? remaining : max_n;
-    if (n == 0) return {nullptr, 0};
-    const T* p = data_->data() + begin_;
-    begin_ += n;
-    return {p, n};
+  StridedSpan<T> try_take_span() override {
+    const StridedSpan<T> span{data_->data() + begin_, end_ - begin_, 1};
+    begin_ = end_;
+    return span;
   }
 
   std::unique_ptr<Spliterator<T>> try_split() override {

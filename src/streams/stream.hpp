@@ -58,9 +58,8 @@ class SortedBufferSource final : public Spliterator<T>,
     buffer().for_each_remaining(action);
   }
 
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
-    return buffer().try_contiguous_chunk(max_n);
+  StridedSpan<T> try_take_span() override {
+    return buffer().try_take_span();
   }
 
   std::unique_ptr<Spliterator<T>> try_split() override {

@@ -109,6 +109,29 @@ TEST(MultiwaySpliterator, BinarySplitFallback) {
   EXPECT_EQ(drain(sp), (std::vector<int>{4, 5, 6, 7}));
 }
 
+TEST(MultiwaySpliterator, NZipStreamLeavesSpanSeveralChunks) {
+  // Grain 2048 leaves each binary-zip leaf a strided window wider than one
+  // fused chunk, so the drive gathers it in several batches.
+  const auto data = iota(1 << 14);
+  ForkJoinPool pool(4);
+  for (bool sized_sink : {true, false}) {
+    auto sp = std::make_unique<NZipSpliterator<int>>(
+        std::make_shared<const std::vector<int>>(data));
+    const auto out =
+        pls::streams::stream_support::from_spliterator<int>(std::move(sp),
+                                                            true)
+            .map([](const int& v) { return 3 * v + 1; })
+            .via(pool)
+            .with_min_chunk(2048)
+            .with_sized_sink(sized_sink)
+            .collect(pls::powerlist::to_power_array_zip<int>());
+    std::vector<int> expected(data.size());
+    std::transform(data.begin(), data.end(), expected.begin(),
+                   [](int v) { return 3 * v + 1; });
+    EXPECT_EQ(out.values(), expected) << "sized_sink=" << sized_sink;
+  }
+}
+
 TEST(MultiwayCollect, TieReconstructionAcrossArities) {
   const auto data = iota(81);  // 3^4: splits 3-ways all the way down
   for (std::size_t arity : {2u, 3u}) {

@@ -93,6 +93,55 @@ TEST(PowerMapCollector, AppliesFunctionZip) {
   }
 }
 
+// --- zip leaves wider than one fused chunk ------------------------------
+//
+// Grains of 2048 and more leave every zip leaf a strided window of more
+// than kFusionChunk (1024) elements, so the fused drive gathers each leaf
+// in several batches.
+
+constexpr std::size_t kMultiChunkN = std::size_t{1} << 16;
+
+TEST(ZipMultiChunk, DestinationPassingCollectMatchesSequential) {
+  auto data = shared_doubles(kMultiChunkN);
+  for (unsigned workers : {1u, 2u, 4u}) {
+    ForkJoinPool pool(workers);
+    for (std::uint64_t grain : {2048u, 8192u}) {
+      auto sp = std::make_unique<ZipSpliterator<double>>(data);
+      const auto out =
+          stream_support::from_spliterator<double>(std::move(sp), true)
+              .via(pool)
+              .with_min_chunk(grain)
+              .collect(to_power_array_zip<double>());
+      EXPECT_EQ(out.values(), *data)
+          << "workers=" << workers << " grain=" << grain;
+    }
+  }
+}
+
+TEST(ZipMultiChunk, MapSupplierCombinerCollectMatchesSequential) {
+  auto data = shared_doubles(kMultiChunkN);
+  const auto run = [&](bool parallel, ForkJoinPool& pool,
+                       std::uint64_t grain) {
+    auto sp = std::make_unique<ZipSpliterator<double>>(data);
+    return stream_support::from_spliterator<double>(std::move(sp), parallel)
+        .map([](const double& d) { return d * 0.5 - 3.0; })
+        .via(pool)
+        .with_sized_sink(false)
+        .with_min_chunk(grain)
+        .collect(to_power_array_zip<double>())
+        .values();
+  };
+  ForkJoinPool unused(1);
+  const std::vector<double> expected = run(false, unused, 0);
+  for (unsigned workers : {1u, 2u, 4u}) {
+    ForkJoinPool pool(workers);
+    for (std::uint64_t grain : {2048u, 8192u}) {
+      EXPECT_EQ(run(true, pool, grain), expected)
+          << "workers=" << workers << " grain=" << grain;
+    }
+  }
+}
+
 // --- the paper's central example: PolynomialValue -----------------------
 
 class PolynomialStreamSweep
@@ -162,6 +211,50 @@ TEST(PolynomialStream, VariousChunkTargetsAgree) {
                 1e-8)
         << "chunk=" << chunk;
   }
+}
+
+// Pins the exact doubles of the SIMD Horner lanes over multi-chunk zip
+// leaves: any change to how leaves batch their coefficients into the
+// kernel re-associates the rounding and moves these bits.
+TEST(PolynomialStream, ZipLeavesAreBitIdentical) {
+  std::vector<double> coeffs(std::size_t{1} << 16);
+  for (std::size_t i = 0; i < coeffs.size(); ++i) {
+    coeffs[i] = static_cast<double>((i * 7919) % 1000) / 997.0 - 0.5;
+  }
+  auto shared = std::make_shared<const std::vector<double>>(coeffs);
+  struct Expect {
+    double x;
+    unsigned workers;
+    std::uint64_t min_chunk;  // 0 selects the default grain
+    double value;
+  };
+  const Expect cases[] = {
+      {0.75, 1, 4096, 0x1.51c666c608fc4p-1},
+      {0.75, 1, 0, 0x1.51c666c608fc4p-1},
+      {0.75, 2, 4096, 0x1.51c666c608fc4p-1},
+      {0.75, 2, 0, 0x1.51c666c608fc5p-1},
+      {0.75, 4, 4096, 0x1.51c666c608fc4p-1},
+      {0.75, 4, 0, 0x1.51c666c608fc4p-1},
+      {-0.999, 1, 4096, 0x1.981f2d4d73819p+0},
+      {-0.999, 1, 0, 0x1.981f2d4d7383bp+0},
+      {-0.999, 2, 4096, 0x1.981f2d4d73819p+0},
+      {-0.999, 2, 0, 0x1.981f2d4d7381bp+0},
+      {-0.999, 4, 4096, 0x1.981f2d4d73819p+0},
+      {-0.999, 4, 0, 0x1.981f2d4d73819p+0},
+  };
+  for (const Expect& e : cases) {
+    ForkJoinPool pool(e.workers);
+    pls::streams::ExecutionConfig cfg;
+    cfg.pool = &pool;
+    cfg.min_chunk = e.min_chunk;
+    EXPECT_EQ(evaluate_polynomial_stream(shared, e.x, true, cfg), e.value)
+        << "x=" << e.x << " workers=" << e.workers
+        << " min_chunk=" << e.min_chunk;
+  }
+  EXPECT_EQ(evaluate_polynomial_stream(shared, 0.75, false),
+            0x1.51c666c608fc4p-1);
+  EXPECT_EQ(evaluate_polynomial_stream(shared, -0.999, false),
+            0x1.981f2d4d73843p+0);
 }
 
 // --- equation 5 through DescendOpSpliterator ----------------------------

@@ -1,15 +1,18 @@
 // Spliterator contract law suite: every spliterator type in
-// src/streams/spliterators.hpp (Array, Range, Generate, Concat) and
-// src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) — plus the
-// pull adapter (FusedSpliterator) over map/peek/filter pipelines —
-// checked against the generic contract checker over generated sizes,
-// values, and split decisions.
+// src/streams/spliterators.hpp (Array, Range, Generate, Concat),
+// src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) and
+// src/plist/multiway_spliterator.hpp (NTie, NZip) — plus the pull adapter
+// (FusedSpliterator) over map/peek/filter pipelines — checked against the
+// generic contract checker over generated sizes, values, and split
+// decisions. Each suite also pins whether the family answers the
+// bulk-pull span hook.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "plist/multiway_spliterator.hpp"
 #include "powerlist/spliterators.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/laws.hpp"
@@ -22,6 +25,7 @@ namespace {
 using namespace pls::proptest;
 namespace streams = pls::streams;
 namespace powerlist = pls::powerlist;
+namespace plist = pls::plist;
 
 using SpInt = std::unique_ptr<streams::Spliterator<std::int64_t>>;
 using Shared = std::shared_ptr<const std::vector<std::int64_t>>;
@@ -61,9 +65,15 @@ std::vector<Case> shrink_case(const Case& c) {
   return out;
 }
 
+/// Whether a family answers the bulk-pull span hook: memory-backed
+/// sources must (the fused drive's zero-call route), every other source
+/// must return a null span.
+enum class Hook { kNone, kSpan };
+
 /// Run the law checker for a factory family over generated cases.
 template <typename MakeFactory>
-void run_suite(const char* name, bool pow2_only, MakeFactory make_factory,
+void run_suite(const char* name, bool pow2_only, Hook hook,
+               MakeFactory make_factory,
                SplitOrder order = SplitOrder::kPrefix) {
   const auto result = check(
       name, suite_config(),
@@ -72,14 +82,24 @@ void run_suite(const char* name, bool pow2_only, MakeFactory make_factory,
       [&](const Case& c) {
         Rand split_rand(c.split_seed);
         auto factory = make_factory(c);
-        return check_spliterator_laws<std::int64_t>(factory, split_rand,
-                                                    order);
+        if (PropStatus s = check_spliterator_laws<std::int64_t>(
+                factory, split_rand, order);
+            !s.ok) {
+          return s;
+        }
+        const bool spanned = factory()->try_take_span().data != nullptr;
+        if (!c.data.empty() && spanned != (hook == Hook::kSpan)) {
+          return PropStatus::fail(spanned ? "unexpected non-null span"
+                                          : "memory-backed source gave a "
+                                            "null span");
+        }
+        return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
 TEST(SpliteratorLaws, Array) {
-  run_suite("ArraySpliterator laws", false, [](const Case& c) {
+  run_suite("ArraySpliterator laws", false, Hook::kSpan, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
     return [shared]() -> SpInt {
       return std::make_unique<streams::ArraySpliterator<std::int64_t>>(
@@ -89,7 +109,7 @@ TEST(SpliteratorLaws, Array) {
 }
 
 TEST(SpliteratorLaws, Range) {
-  run_suite("RangeSpliterator laws", false, [](const Case& c) {
+  run_suite("RangeSpliterator laws", false, Hook::kNone, [](const Case& c) {
     // Reinterpret the case as a range: begin from the split seed
     // (including negatives), length from the data.
     const std::int64_t begin =
@@ -109,7 +129,7 @@ TEST(SpliteratorLaws, Generate) {
       return value_at(seed, i);
     }
   };
-  run_suite("GenerateSpliterator laws", false, [](const Case& c) {
+  run_suite("GenerateSpliterator laws", false, Hook::kNone, [](const Case& c) {
     auto fn = std::make_shared<const Fn>(Fn{c.split_seed});
     const std::uint64_t n = c.data.size();
     return [fn, n]() -> SpInt {
@@ -120,7 +140,7 @@ TEST(SpliteratorLaws, Generate) {
 }
 
 TEST(SpliteratorLaws, Concat) {
-  run_suite("ConcatSpliterator laws", false, [](const Case& c) {
+  run_suite("ConcatSpliterator laws", false, Hook::kNone, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
     const std::size_t mid = c.data.size() / 3;
     return [shared, mid]() -> SpInt {
@@ -135,19 +155,23 @@ TEST(SpliteratorLaws, Concat) {
 }
 
 TEST(SpliteratorLaws, SpliteratorPower2Strided) {
-  run_suite("SpliteratorPower2 (strided) laws", true, [](const Case& c) {
-    // View the data at a stride that still fits: every other element.
-    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    const std::size_t count = c.data.size() / 2;
-    return [shared, count]() -> SpInt {
-      return std::make_unique<powerlist::TieSpliterator<std::int64_t>>(
-          shared, 0, 2, count);
-    };
-  });
+  run_suite("SpliteratorPower2 (strided) laws", true, Hook::kSpan,
+            [](const Case& c) {
+              // View the data at a stride that still fits: every other
+              // element.
+              auto shared =
+                  std::make_shared<const std::vector<std::int64_t>>(c.data);
+              const std::size_t count = c.data.size() / 2;
+              return [shared, count]() -> SpInt {
+                return std::make_unique<
+                    powerlist::TieSpliterator<std::int64_t>>(shared, 0, 2,
+                                                             count);
+              };
+            });
 }
 
 TEST(SpliteratorLaws, Tie) {
-  run_suite("TieSpliterator laws", true, [](const Case& c) {
+  run_suite("TieSpliterator laws", true, Hook::kSpan, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
     return [shared]() -> SpInt {
       return std::make_unique<powerlist::TieSpliterator<std::int64_t>>(
@@ -161,7 +185,7 @@ TEST(SpliteratorLaws, Zip) {
   // permutation of encounter order; order is carried by the output windows
   // (the placement law), not by prefix concatenation.
   run_suite(
-      "ZipSpliterator laws", true,
+      "ZipSpliterator laws", true, Hook::kSpan,
       [](const Case& c) {
         auto shared =
             std::make_shared<const std::vector<std::int64_t>>(c.data);
@@ -173,11 +197,37 @@ TEST(SpliteratorLaws, Zip) {
       SplitOrder::kInterleaved);
 }
 
+TEST(SpliteratorLaws, NTie) {
+  run_suite("NTieSpliterator laws", true, Hook::kSpan,
+            [](const Case& c) {
+              auto shared =
+                  std::make_shared<const std::vector<std::int64_t>>(c.data);
+              return [shared]() -> SpInt {
+                return std::make_unique<plist::NTieSpliterator<std::int64_t>>(
+                    shared);
+              };
+            });
+}
+
+TEST(SpliteratorLaws, NZip) {
+  run_suite(
+      "NZipSpliterator laws", true, Hook::kSpan,
+      [](const Case& c) {
+        auto shared =
+            std::make_shared<const std::vector<std::int64_t>>(c.data);
+        return [shared]() -> SpInt {
+          return std::make_unique<plist::NZipSpliterator<std::int64_t>>(
+              shared);
+        };
+      },
+      SplitOrder::kInterleaved);
+}
+
 /// The pull adapter over an Array source plus one stage: the law suite
 /// sees the pipeline exactly as concat pulls a side that carries stages.
 template <typename Stage>
 void run_adapter_suite(const char* name, std::shared_ptr<const Stage> stage) {
-  run_suite(name, false, [stage](const Case& c) {
+  run_suite(name, false, Hook::kNone, [stage](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
     return [shared, stage]() -> SpInt {
       SpInt source =
