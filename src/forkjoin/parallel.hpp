@@ -1,9 +1,10 @@
 // High-level parallel algorithms on top of ForkJoinPool.
 //
-// These are the generic D&C drivers used by the streams evaluator and the
-// PowerList executors: variadic parallel_invoke, blocked parallel_for, and
-// parallel_reduce. Grain sizes are explicit — the caller states the smallest
-// chunk worth forking for, which the PowerList ablation bench sweeps.
+// General-purpose D&C drivers over index ranges and closures: variadic
+// parallel_invoke, blocked parallel_for, and parallel_reduce. Grain sizes
+// are explicit — the caller states the smallest chunk worth forking for.
+// The library's own evaluators (stream terminals, PowerFunction executors,
+// multiway collects) do not use these; they run on forkjoin/walk.hpp.
 #pragma once
 
 #include <cstddef>

@@ -369,8 +369,10 @@ class ForkJoinPool {
   ForkScheduleHook* schedule_hook_ = nullptr;
   std::uint64_t metrics_source_ = 0;  ///< MetricsRegistry token (0 = none)
 
-  static thread_local Worker* tls_worker_;
-  static thread_local ForkJoinPool* tls_pool_;
+  // constinit: constant-initialised, so every access is a plain TLS load
+  // with no lazy-init wrapper call.
+  static inline constinit thread_local Worker* tls_worker_ = nullptr;
+  static inline constinit thread_local ForkJoinPool* tls_pool_ = nullptr;
 };
 
 }  // namespace pls::forkjoin

@@ -12,14 +12,19 @@
 //   try_split_n(n) -> vector of n-1 prefix spliterators (this keeps the
 //   last part),
 // NTie/NZip implement it over strided windows, and evaluate_collect_multiway
-// runs the collect template method over an n-ary task tree, folding the
-// parts in encounter order with the collector's combiner.
+// runs the collect template method over the n-ary split, on the library's
+// one fork-join walk (forkjoin/walk.hpp), combining the parts in
+// encounter order with the collector's combiner.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "forkjoin/pool.hpp"
+#include "forkjoin/walk.hpp"
 #include "powerlist/spliterators.hpp"
 #include "streams/collector.hpp"
 #include "streams/parallel_eval.hpp"
@@ -117,154 +122,131 @@ class NZipSpliterator final : public detail::StridedMultiwayBase<T> {
 
 namespace detail {
 
-// The multiway walks pull their leaves straight from the (borrowed)
-// spliterator: a supplier/combiner leaf and a destination-passing leaf,
-// instrumented like the streams walk's leaves (streams/parallel_eval.hpp).
+/// The multiway walk node (forkjoin/walk.hpp): a run of parts in
+/// encounter order. The n-way split stays binary inside the walk: a
+/// single part splits through try_split_n(arity) (binary try_split where
+/// the source refuses) into a run this node owns, and a run splits in
+/// halves. A run at or below the grain is one leaf that drains its parts
+/// in order. `Drain` supplies that leaf and, on the fold path, combine.
+template <typename T, typename Drain>
+class PartsNode {
+ public:
+  using Part = streams::Spliterator<T>*;
+  using R = decltype(std::declval<const Drain&>().leaf(
+      std::declval<std::span<const Part>>()));
 
+  PartsNode(std::span<const Part> parts, const Drain& drain,
+            std::size_t arity)
+      : parts_(parts), drain_(drain), arity_(arity) {}
+
+  std::uint64_t size() const { return total(false); }
+  std::uint64_t elements() const { return total(true); }
+  R leaf() const { return drain_.leaf(parts_); }
+
+  std::optional<std::pair<PartsNode, PartsNode>> split() {
+    if (parts_.size() == 1) {
+      streams::Spliterator<T>& sp = *parts_.front();
+      if (auto* multiway = dynamic_cast<MultiwaySpliterator<T>*>(&sp)) {
+        owned_ = multiway->try_split_n(arity_);
+      }
+      if (owned_.empty()) {
+        auto prefix = sp.try_split();
+        if (!prefix) return std::nullopt;
+        owned_.push_back(std::move(prefix));
+      }
+      for (const auto& prefix : owned_) run_.push_back(prefix.get());
+      run_.push_back(&sp);
+      return halves(run_);
+    }
+    return halves(parts_);
+  }
+
+  R combine(R&& left, R&& right) const
+    requires requires(const Drain& d, R& r) { d.combine(r, r); }
+  {
+    drain_.combine(left, right);
+    return std::move(left);
+  }
+
+ private:
+  std::uint64_t total(bool sized_only) const {
+    std::uint64_t n = 0;
+    for (const Part sp : parts_) {
+      if (!sized_only || sp->has(streams::kSized)) n += sp->estimate_size();
+    }
+    return n;
+  }
+  std::pair<PartsNode, PartsNode> halves(std::span<const Part> run) const {
+    const std::size_t mid = run.size() / 2;
+    return {PartsNode(run.first(mid), drain_, arity_),
+            PartsNode(run.subspan(mid), drain_, arity_)};
+  }
+
+  std::span<const Part> parts_;
+  const Drain& drain_;
+  std::size_t arity_;
+  std::vector<std::unique_ptr<streams::Spliterator<T>>> owned_;
+  std::vector<Part> run_;
+};
+
+/// Supplier/combiner leaves: one accumulation per run.
 template <typename T, typename C>
-typename C::accumulation_type multiway_leaf(streams::Spliterator<T>& sp,
-                                            const C& c) {
-  const std::uint64_t elems = sp.has(streams::kSized) ? sp.estimate_size() : 0;
-  observe::Span span(observe::EventKind::kAccumulate, elems);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::local_counters().on_leaf(elems);
-  auto acc = c.supply();
-  observe::local_counters().on_allocation();
-  sp.for_each_remaining([&](const T& value) { c.accumulate(acc, value); });
-  return acc;
-}
+struct FoldParts {
+  const C& c;
 
+  typename C::accumulation_type leaf(
+      std::span<streams::Spliterator<T>* const> parts) const {
+    auto acc = c.supply();
+    observe::local_counters().on_allocation();
+    for (streams::Spliterator<T>* sp : parts) {
+      sp->for_each_remaining([&](const T& value) { c.accumulate(acc, value); });
+    }
+    return acc;
+  }
+  void combine(typename C::accumulation_type& left,
+               typename C::accumulation_type& right) const {
+    c.combine(left, right);
+  }
+};
+
+/// Destination-passing leaves: every part writes into its own window of
+/// the shared sink, so no fold runs at all — which is what makes n-way
+/// *zip* reconstruction expressible here (the windows encode the n-way
+/// interleaving that no pairwise combiner can).
 template <typename T, typename C>
   requires streams::SizedSinkCollector<C, T>
-void multiway_into_leaf(streams::Spliterator<T>& sp, const C& c,
-                        typename C::sized_accumulation_type& sink,
-                        const streams::OutputWindow& root) {
-  const auto w = streams::output_window_of(sp);
-  const auto [base, step] = streams::detail::rebase_window(w, root);
-  observe::Span span(observe::EventKind::kAccumulate, w->count);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::local_counters().on_leaf(w->count);
-  std::uint64_t k = 0;
-  sp.for_each_remaining([&](const T& value) {
-    c.accumulate_at(sink, base + k * step, value);
-    ++k;
-  });
-  PLS_CHECK(k == w->count, "chunk yielded a different count than its window");
-}
+struct DrainIntoSink {
+  const C& c;
+  typename C::sized_accumulation_type& sink;
+  streams::OutputWindow root;
 
-template <typename T, typename C>
-typename C::accumulation_type collect_multiway_tree(
-    forkjoin::ForkJoinPool& pool, streams::Spliterator<T>& sp, const C& c,
-    std::size_t arity, std::uint64_t target) {
-  using A = typename C::accumulation_type;
-  if (sp.estimate_size() <= target) {
-    return multiway_leaf(sp, c);
-  }
-  auto* multiway = dynamic_cast<MultiwaySpliterator<T>*>(&sp);
-  std::vector<std::unique_ptr<streams::Spliterator<T>>> prefixes;
-  if (multiway != nullptr && arity > 2) {
-    prefixes = multiway->try_split_n(arity);
-  }
-  if (prefixes.empty()) {
-    // Fall back to binary splitting.
-    auto prefix = sp.try_split();
-    if (!prefix) return multiway_leaf(sp, c);
-    prefixes.push_back(std::move(prefix));
-  }
-  // Evaluate all parts (prefixes in order, then this) in parallel.
-  const std::size_t parts = prefixes.size() + 1;
-  std::vector<std::optional<A>> results(parts);
-  std::vector<std::function<void()>> thunks;
-  thunks.reserve(parts);
-  for (std::size_t k = 0; k < prefixes.size(); ++k) {
-    thunks.push_back([&, k] {
-      results[k].emplace(collect_multiway_tree(pool, *prefixes[k], c, arity,
-                                               target));
-    });
-  }
-  thunks.push_back([&] {
-    results[parts - 1].emplace(
-        collect_multiway_tree(pool, sp, c, arity, target));
-  });
-  // Binary fork over the thunk list.
-  struct Runner {
-    forkjoin::ForkJoinPool& pool;
-    std::vector<std::function<void()>>& thunks;
-    void run(std::size_t lo, std::size_t hi) {  // [lo, hi)
-      if (hi - lo == 1) {
-        thunks[lo]();
-        return;
-      }
-      const std::size_t mid = lo + (hi - lo) / 2;
-      pool.invoke_two([&] { run(lo, mid); }, [&] { run(mid, hi); });
+  forkjoin::Unit leaf(std::span<streams::Spliterator<T>* const> parts) const {
+    for (streams::Spliterator<T>* sp : parts) {
+      const auto w = streams::output_window_of(*sp);
+      const auto [base, step] = streams::detail::rebase_window(w, root);
+      std::uint64_t k = 0;
+      sp->for_each_remaining([&](const T& value) {
+        c.accumulate_at(sink, base + k * step, value);
+        ++k;
+      });
+      PLS_CHECK(k == w->count,
+                "chunk yielded a different count than its window");
     }
-  } runner{pool, thunks};
-  runner.run(0, parts);
-  // Fold left in encounter order with the collector's combiner.
-  A acc = std::move(*results[0]);
-  for (std::size_t k = 1; k < parts; ++k) {
-    observe::local_counters().on_combine();
-    c.combine(acc, *results[k]);
+    return {};
   }
-  return acc;
-}
+};
 
-/// Destination-passing multiway collect: every part writes into its own
-/// window of the shared sink, so no fold runs at all — which is what
-/// makes n-way *zip* reconstruction expressible here (the windows encode
-/// the n-way interleaving that no pairwise combiner can).
-template <typename T, typename C>
-  requires streams::SizedSinkCollector<C, T>
-void collect_into_multiway_tree(forkjoin::ForkJoinPool& pool,
-                                streams::Spliterator<T>& sp, const C& c,
-                                typename C::sized_accumulation_type& sink,
-                                const streams::OutputWindow& root,
-                                std::size_t arity, std::uint64_t target,
-                                unsigned depth = 0) {
-  if (sp.estimate_size() <= target) {
-    multiway_into_leaf(sp, c, sink, root);
-    return;
-  }
-  auto* multiway = dynamic_cast<MultiwaySpliterator<T>*>(&sp);
-  std::vector<std::unique_ptr<streams::Spliterator<T>>> prefixes;
-  if (multiway != nullptr && arity > 2) {
-    prefixes = multiway->try_split_n(arity);
-  }
-  if (prefixes.empty()) {
-    auto prefix = sp.try_split();
-    if (!prefix) {
-      multiway_into_leaf(sp, c, sink, root);
-      return;
-    }
-    prefixes.push_back(std::move(prefix));
-  }
-  observe::local_counters().on_split(depth);
-  const std::size_t parts = prefixes.size() + 1;
-  std::vector<std::function<void()>> thunks;
-  thunks.reserve(parts);
-  for (std::size_t k = 0; k < prefixes.size(); ++k) {
-    thunks.push_back([&, k] {
-      collect_into_multiway_tree(pool, *prefixes[k], c, sink, root, arity,
-                                 target, depth + 1);
-    });
-  }
-  thunks.push_back([&] {
-    collect_into_multiway_tree(pool, sp, c, sink, root, arity, target,
-                               depth + 1);
-  });
-  struct Runner {
-    forkjoin::ForkJoinPool& pool;
-    std::vector<std::function<void()>>& thunks;
-    void run(std::size_t lo, std::size_t hi) {  // [lo, hi)
-      if (hi - lo == 1) {
-        thunks[lo]();
-        return;
-      }
-      const std::size_t mid = lo + (hi - lo) / 2;
-      pool.invoke_two([&] { run(lo, mid); }, [&] { run(mid, hi); });
-    }
-  } runner{pool, thunks};
-  runner.run(0, parts);
+/// One leaf on the calling thread, or the walk on the configured pool.
+template <typename T, typename Drain>
+auto walk_parts(streams::Spliterator<T>& sp, const Drain& drain,
+                std::size_t arity, bool parallel,
+                const streams::ExecutionConfig& cfg) {
+  streams::Spliterator<T>* const root = &sp;
+  PartsNode<T, Drain> node({&root, 1}, drain, arity);
+  if (!parallel) return forkjoin::walk_leaf(node);
+  auto& pool = cfg.effective_pool();
+  return forkjoin::run_walk(
+      pool, node, cfg.target_size(sp.estimate_size(), pool.parallelism()));
 }
 
 }  // namespace detail
@@ -272,8 +254,9 @@ void collect_into_multiway_tree(forkjoin::ForkJoinPool& pool,
 /// Run a mutable reduction over a multiway source, splitting `arity` ways
 /// at each level (binary fallback where the source refuses).
 ///
-/// On the supplier/combiner path the parts fold pairwise left-to-right
-/// with the collector's combiner, which is correct for tie-structured/
+/// On the supplier/combiner path the parts combine pairwise in encounter
+/// order with the collector's combiner (a run of parts at or below the
+/// grain accumulates into one result), which is correct for tie-structured/
 /// associative collectors (concat, sums, ...) but cannot express n-way
 /// *zip* reconstruction (zip_join(a,b,c) != zip_all(zip_all(a,b),c)).
 /// The destination-passing path lifts that restriction: when the
@@ -291,31 +274,14 @@ typename C::result_type evaluate_collect_multiway(
     if (cfg.sized_sink) {
       if (auto root = streams::plan_dps_window(sp)) {
         auto sink = c.supply_sized(root->count);
-        if (!parallel) {
-          detail::multiway_into_leaf(sp, c, sink, *root);
-        } else {
-          auto& pool = cfg.effective_pool();
-          const std::uint64_t target =
-              cfg.target_size(root->count, pool.parallelism());
-          pool.run([&] {
-            detail::collect_into_multiway_tree(pool, sp, c, sink, *root,
-                                               arity, target);
-          });
-        }
+        detail::walk_parts(sp, detail::DrainIntoSink<T, C>{c, sink, *root},
+                           arity, parallel, cfg);
         return c.finish_sized(std::move(sink));
       }
     }
   }
-  if (!parallel) {
-    return c.finish(detail::multiway_leaf(sp, c));
-  }
-  auto& pool = cfg.effective_pool();
-  const std::uint64_t target =
-      cfg.target_size(sp.estimate_size(), pool.parallelism());
-  auto acc = pool.run([&] {
-    return detail::collect_multiway_tree(pool, sp, c, arity, target);
-  });
-  return c.finish(std::move(acc));
+  return c.finish(
+      detail::walk_parts(sp, detail::FoldParts<T, C>{c}, arity, parallel, cfg));
 }
 
 }  // namespace pls::plist

@@ -4,12 +4,13 @@
 // separately from function definition; these executors all consume the
 // same PowerFunction interface:
 //   execute_sequential — plain depth-first recursion;
-//   execute_forkjoin   — both halves through ForkJoinPool::invoke_two;
-//   execute_simulated  — depth-first recursion that additionally records
-//                        the fork-join task tree with the function's
-//                        operation counts, then schedules it on P virtual
-//                        processors (the stand-in for the paper's 8-core
-//                        testbed; see DESIGN.md, Substitutions).
+//   execute_forkjoin   — the library's one fork-join walk
+//                        (forkjoin/walk.hpp) over a FunctionNode;
+//   execute_simulated  — depth-first recursion, then the balanced task
+//                        tree priced with the function's operation counts
+//                        is scheduled on P virtual processors (the
+//                        stand-in for the paper's 8-core testbed; see
+//                        DESIGN.md, Substitutions).
 // A fourth executor runs over the message-passing simulation
 // (src/mpisim/power_executor.hpp).
 #pragma once
@@ -24,10 +25,10 @@
 #include <utility>
 
 #include "forkjoin/pool.hpp"
+#include "forkjoin/walk.hpp"
 #include "observe/counters.hpp"
 #include "observe/critical_path.hpp"
 #include "observe/histogram.hpp"
-#include "observe/trace.hpp"
 #include "powerlist/function.hpp"
 #include "powerlist/view.hpp"
 #include "simmachine/scheduler.hpp"
@@ -52,63 +53,30 @@ R run_sequential(const PowerFunction<T, R, Ctx>& f,
   return f.combine(std::move(left), std::move(right), ctx, input.length());
 }
 
+/// The executors' walk node (forkjoin/walk.hpp): one PowerList view and
+/// its context. Split is the function's decomposition plus its descend;
+/// combine reads the parent's context and length.
 template <typename T, typename R, typename Ctx>
-R run_forkjoin(forkjoin::ForkJoinPool& pool, const PowerFunction<T, R, Ctx>& f,
-               PowerListView<const T> input, const Ctx& ctx,
-               std::size_t leaf_size, unsigned depth = 0,
-               observe::CpNode* cp = nullptr) {
-  if (input.length() <= leaf_size) {
-    observe::Span span(observe::EventKind::kAccumulate, input.length());
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, input.length());
-    observe::local_counters().on_leaf(input.length());
-    return f.basic_case(input, ctx);
-  }
-  const std::uint64_t split_start = cp != nullptr ? observe::now_ticks() : 0;
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  if (cp != nullptr) {
-    cp->add_time(observe::CpPhase::kSplit, observe::now_ticks() - split_start);
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<R> left;
-  std::optional<R> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left.emplace(run_forkjoin(pool, f, left_view, left_ctx, leaf_size,
-                                  depth + 1, cl));
-      },
-      [&, cr = cr] {
-        right.emplace(run_forkjoin(pool, f, right_view, right_ctx, leaf_size,
-                                   depth + 1, cr));
-      });
-  observe::Span span(observe::EventKind::kCombine, depth);
-  observe::CpScope phase(cp, observe::CpPhase::kCombine);
-  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-  observe::local_counters().on_combine();
-  return f.combine(std::move(*left), std::move(*right), ctx, input.length());
-}
+struct FunctionNode {
+  const PowerFunction<T, R, Ctx>& f;
+  PowerListView<const T> input;
+  Ctx ctx;
 
-template <typename T, typename R, typename Ctx>
-R run_traced(const PowerFunction<T, R, Ctx>& f, PowerListView<const T> input,
-             const Ctx& ctx, std::size_t leaf_size,
-             simmachine::TaskTrace& trace, simmachine::TaskTrace::NodeId& id) {
-  if (input.length() <= leaf_size) {
-    id = trace.add_leaf(f.leaf_cost_ops(input.length()));
-    return f.basic_case(input, ctx);
+  std::uint64_t size() const { return input.length(); }
+  std::uint64_t elements() const { return input.length(); }
+  R leaf() const { return f.basic_case(input, ctx); }
+
+  std::optional<std::pair<FunctionNode, FunctionNode>> split() const {
+    const auto [left, right] = input.split(f.decomposition());
+    auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
+    return std::pair{FunctionNode{f, left, std::move(left_ctx)},
+                     FunctionNode{f, right, std::move(right_ctx)}};
   }
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  simmachine::TaskTrace::NodeId left_id = 0;
-  simmachine::TaskTrace::NodeId right_id = 0;
-  R left = run_traced(f, left_view, left_ctx, leaf_size, trace, left_id);
-  R right = run_traced(f, right_view, right_ctx, leaf_size, trace, right_id);
-  id = trace.add_fork(f.descend_cost_ops(input.length()),
-                      f.combine_cost_ops(input.length()), left_id, right_id);
-  return f.combine(std::move(left), std::move(right), ctx, input.length());
-}
+
+  R combine(R&& left, R&& right) const {
+    return f.combine(std::move(left), std::move(right), ctx, input.length());
+  }
+};
 
 inline std::size_t checked_leaf_size(std::size_t leaf_size) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
@@ -130,41 +98,30 @@ void run_sequential_into(const InplacePowerFunction<T, U, Ctx>& f,
   run_sequential_into(f, right_in, right_out, right_ctx, leaf_size);
 }
 
+/// The destination-passing node: input and destination split together,
+/// so every leaf writes its final window and the join does nothing.
 template <typename T, typename U, typename Ctx>
-void run_forkjoin_into(forkjoin::ForkJoinPool& pool,
-                       const InplacePowerFunction<T, U, Ctx>& f,
-                       PowerListView<const T> input, PowerListView<U> out,
-                       const Ctx& ctx, std::size_t leaf_size,
-                       unsigned depth = 0, observe::CpNode* cp = nullptr) {
-  if (input.length() <= leaf_size) {
-    observe::Span span(observe::EventKind::kAccumulate, input.length());
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, input.length());
-    observe::local_counters().on_leaf(input.length());
+struct IntoNode {
+  const InplacePowerFunction<T, U, Ctx>& f;
+  PowerListView<const T> input;
+  PowerListView<U> out;
+  Ctx ctx;
+
+  std::uint64_t size() const { return input.length(); }
+  std::uint64_t elements() const { return input.length(); }
+  forkjoin::Unit leaf() const {
     f.basic_case_into(input, out, ctx);
-    return;
+    return {};
   }
-  const std::uint64_t split_start = cp != nullptr ? observe::now_ticks() : 0;
-  const auto [left_in, right_in] = input.split(f.decomposition());
-  const auto [left_out, right_out] = out.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  if (cp != nullptr) {
-    cp->add_time(observe::CpPhase::kSplit, observe::now_ticks() - split_start);
+
+  std::optional<std::pair<IntoNode, IntoNode>> split() const {
+    const auto [left_in, right_in] = input.split(f.decomposition());
+    const auto [left_out, right_out] = out.split(f.decomposition());
+    auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
+    return std::pair{IntoNode{f, left_in, left_out, std::move(left_ctx)},
+                     IntoNode{f, right_in, right_out, std::move(right_ctx)}};
   }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] {
-        run_forkjoin_into(pool, f, left_in, left_out, left_ctx, leaf_size,
-                          depth + 1, cl);
-      },
-      [&, cr = cr] {
-        run_forkjoin_into(pool, f, right_in, right_out, right_ctx, leaf_size,
-                          depth + 1, cr);
-      });
-  // No combine phase: both halves wrote disjoint windows of `out`.
-}
+};
 
 }  // namespace detail
 
@@ -188,11 +145,8 @@ R execute_forkjoin(forkjoin::ForkJoinPool& pool,
                    PowerListView<TV> input, Ctx ctx = Ctx{},
                    std::size_t leaf_size = 1) {
   detail::checked_leaf_size(leaf_size);
-  PowerListView<const std::remove_const_t<TV>> view(input);
-  observe::CpNode* cp = observe::cp_new_root();
-  return pool.run([&] {
-    return detail::run_forkjoin(pool, f, view, ctx, leaf_size, 0, cp);
-  });
+  detail::FunctionNode<std::remove_const_t<TV>, R, Ctx> node{f, input, ctx};
+  return forkjoin::run_walk(pool, node, leaf_size);
 }
 
 /// Depth-first sequential destination-passing execution: split input and
@@ -224,11 +178,8 @@ void execute_forkjoin_into(
   detail::checked_leaf_size(leaf_size);
   PLS_CHECK(input.similar(out),
             "destination must be similar to the input PowerList");
-  PowerListView<const std::remove_const_t<TV>> view(input);
-  observe::CpNode* cp = observe::cp_new_root();
-  pool.run([&] {
-    detail::run_forkjoin_into(pool, f, view, out, ctx, leaf_size, 0, cp);
-  });
+  detail::IntoNode<std::remove_const_t<TV>, U, Ctx> node{f, input, out, ctx};
+  forkjoin::run_walk(pool, node, leaf_size);
 }
 
 /// Structural statistics of one execution: how the skeleton actually
@@ -243,10 +194,8 @@ struct ExecutionStats {
 };
 
 /// Unified result of any reporting executor — the single type the
-/// instrumented, simulated, and fork-join-reported paths all return
-/// (previously three ad-hoc structs: InstrumentedExecution,
-/// SimulatedExecution, and bare ExecutionStats). Fields not produced by a
-/// given path stay default-initialised:
+/// instrumented, simulated, and fork-join-reported paths all return.
+/// Fields not produced by a given path stay default-initialised:
 ///   execute_instrumented       fills result + stats;
 ///   execute_simulated          fills result + stats + sim (simulated=true);
 ///   execute_forkjoin_reported  fills result + stats + counters;
@@ -388,24 +337,26 @@ ExecutionReport<R> execute_instrumented(
   return report;
 }
 
-/// Execute sequentially while recording the task tree, then schedule it on
-/// the simulator's virtual processors. The report carries both the
-/// decomposition shape and the simulated schedule.
+/// Execute sequentially, then schedule the run's task tree on the
+/// simulator's virtual processors. Both decomposition operators halve, so
+/// that tree is the balanced one of uniform_shape, each node priced by the
+/// function's cost hooks at its sublist length. The report carries both
+/// the decomposition shape and the simulated schedule.
 template <typename TV, typename R, typename Ctx>
 ExecutionReport<R> execute_simulated(
     const simmachine::Simulator& sim,
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
   detail::checked_leaf_size(leaf_size);
-  simmachine::TaskTrace trace;
-  simmachine::TaskTrace::NodeId root = 0;
-  R result = detail::run_traced(
-      f, PowerListView<const std::remove_const_t<TV>>(input), ctx, leaf_size,
-      trace, root);
-  trace.set_root(root);
-  ExecutionReport<R> report{std::move(result)};
+  ExecutionReport<R> report{detail::run_sequential(
+      f, PowerListView<const std::remove_const_t<TV>>(input), ctx,
+      leaf_size)};
   report.stats = detail::uniform_shape(input.length(), leaf_size);
-  report.sim = sim.run(trace);
+  report.sim = sim.run(simmachine::TaskTrace::balanced(
+      report.stats.max_depth, input.length(),
+      [&](std::size_t len) { return f.leaf_cost_ops(len); },
+      [&](std::size_t len) { return f.descend_cost_ops(len); },
+      [&](std::size_t len) { return f.combine_cost_ops(len); }));
   report.simulated = true;
   return report;
 }

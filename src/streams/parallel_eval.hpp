@@ -12,13 +12,13 @@
 // combining left <- right preserves encounter order for non-commutative
 // combiners.
 //
-// walk() is that template, written once. A terminal is a policy of two
-// parts: leaf<T>(fp) builds the terminal sink and drives the chunk into
-// it, and combine(left, right) merges two sibling results — or is absent,
-// when leaves deliver their results in place (for_each, and the
-// destination-passing collect) and the join does nothing. The split, leaf
-// and combine instrumentation (trace span, critical-path phase, latency
-// histogram, counters) therefore exists exactly once.
+// That template is forkjoin::walk (forkjoin/walk.hpp), shared with the
+// PowerFunction executors and the multiway collects; here it walks a
+// PipelineNode. A terminal is a policy of two parts: leaf<T>(fp) builds
+// the terminal sink and drives the chunk into it, and combine(left, right)
+// merges two sibling results — or is absent, when leaves deliver their
+// results in place (for_each, and the destination-passing collect) and the
+// join does nothing.
 //
 // collect has a second execution model, destination-passing style (DPS):
 // when the collector is a sized sink (streams/sized_sink.hpp) and the
@@ -36,11 +36,9 @@
 #include <optional>
 #include <utility>
 
-#include "forkjoin/pool.hpp"
+#include "forkjoin/walk.hpp"
 #include "observe/counters.hpp"
 #include "observe/critical_path.hpp"
-#include "observe/histogram.hpp"
-#include "observe/trace.hpp"
 #include "streams/collector.hpp"
 #include "streams/fusion.hpp"
 #include "streams/plan.hpp"
@@ -197,9 +195,6 @@ bool drive_match(FusedPipeline& fp, const Pred& pred, bool stop_on) {
   return sink.hit();
 }
 
-/// The result of a leaf that delivers in place (for_each, DPS collect).
-struct Unit {};
-
 /// Where a chunk with source window `w` writes in a result buffer indexed
 /// 0..root.count in root strides: {base, step}. The source may itself be
 /// a strided sub-window (e.g. a zip-split product).
@@ -272,7 +267,7 @@ struct ForEach {
   const Fn& fn;
 
   template <typename T>
-  detail::Unit leaf(FusedPipeline& fp) const {
+  forkjoin::Unit leaf(FusedPipeline& fp) const {
     ForEachSink<T, Fn> sink(fn);
     fp.drive(sink);
     return {};
@@ -379,7 +374,7 @@ struct DpsCollect {
   OutputWindow root;
 
   template <typename T>
-  Unit leaf(FusedPipeline& fp) const {
+  forkjoin::Unit leaf(FusedPipeline& fp) const {
     const auto w = fp.source_window();
     const auto [base, step] = rebase_window(w, root);
     DpsSink<T, C> s(collector, sink, base, step);
@@ -390,77 +385,58 @@ struct DpsCollect {
   }
 };
 
+/// The streams walk node: the pipeline's source window plus the terminal
+/// policy. Splitting keeps the suffix in `fp` and the prefix in the
+/// parent, so the left child is the earlier half.
 template <typename T, typename Term>
-using leaf_result_t = decltype(std::declval<const Term&>().template leaf<T>(
-    std::declval<FusedPipeline&>()));
+struct PipelineNode {
+  using R = decltype(std::declval<const Term&>().template leaf<T>(
+      std::declval<FusedPipeline&>()));
 
-template <typename T, typename Term>
-leaf_result_t<T, Term> walk_leaf(FusedPipeline& fp, const Term& term,
-                                 observe::CpNode* cp) {
-  const std::uint64_t estimate = fp.countable_estimate();
-  observe::Span span(observe::EventKind::kAccumulate, estimate);
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  auto result = term.template leaf<T>(fp);
+  FusedPipeline& fp;
+  const Term& term;
+  std::unique_ptr<FusedPipeline> prefix{};
+
+  std::uint64_t size() const { return fp.estimate_size(); }
+  std::uint64_t elements() const { return fp.countable_estimate(); }
+  R leaf() { return term.template leaf<T>(fp); }
+
   // count reports what it counted, exact even where a stage (or an
   // unsized source) leaves the estimate unknown.
-  std::uint64_t elems = estimate;
-  if constexpr (Term::kind == TerminalKind::kCount) elems = result;
-  observe::cp_add_elements(cp, elems);
-  observe::local_counters().on_leaf(elems);
-  return result;
-}
-
-/// THE fork-join walk: split to grain, run leaves, combine on the way up
-/// when the terminal has a combine.
-template <typename T, typename Term>
-leaf_result_t<T, Term> walk(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
-                            const Term& term, std::uint64_t grain,
-                            unsigned depth, observe::CpNode* cp) {
-  using R = leaf_result_t<T, Term>;
-  if (fp.estimate_size() <= grain) return walk_leaf<T>(fp, term, cp);
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) return walk_leaf<T>(fp, term, cp);
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<R> left;
-  std::optional<R> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left.emplace(walk<T>(pool, *prefix, term, grain, depth + 1, cl));
-      },
-      [&, cr = cr] {
-        right.emplace(walk<T>(pool, fp, term, grain, depth + 1, cr));
-      });
-  if constexpr (requires(const Term& t, R& r) { t.combine(r, r); }) {
-    observe::Span span(observe::EventKind::kCombine, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kCombine);
-    observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-    term.combine(*left, *right);
-    observe::local_counters().on_combine();
+  std::uint64_t counted(const R& n) const
+    requires(Term::kind == TerminalKind::kCount)
+  {
+    return n;
   }
-  return std::move(*left);
-}
+
+  std::optional<std::pair<PipelineNode, PipelineNode>> split() {
+    prefix = fp.try_split();
+    if (!prefix) return std::nullopt;
+    return std::pair{PipelineNode{*prefix, term}, PipelineNode{fp, term}};
+  }
+
+  R combine(R&& left, R&& right) const
+    requires requires(const Term& t, R& r) { t.combine(r, r); }
+  {
+    term.combine(left, right);
+    return std::move(left);
+  }
+};
 
 /// Drive `term` over `fp` as the plan says: one leaf on the calling
 /// thread (sequential plans, short-circuit terminals), or the walk on the
 /// configured pool, feeding the profiled tree back to the PlanCache.
 template <typename T, typename Term>
-leaf_result_t<T, Term> run_walk(FusedPipeline& fp, const Term& term,
-                                const ExecutionConfig& cfg,
-                                const ExecutionPlan& plan) {
+auto run_walk(FusedPipeline& fp, const Term& term, const ExecutionConfig& cfg,
+              const ExecutionPlan& plan) {
+  PipelineNode<T, Term> node{fp, term};
   if constexpr (terminal_short_circuits(Term::kind)) {
-    return walk_leaf<T>(fp, term, nullptr);
+    return forkjoin::walk_leaf(node);
   } else {
-    if (!plan.parallel) return walk_leaf<T>(fp, term, nullptr);
+    if (!plan.parallel) return forkjoin::walk_leaf(node);
     auto& pool = cfg.effective_pool();
     observe::CpNode* cp = observe::cp_new_root();
-    auto out =
-        pool.run([&] { return walk<T>(pool, fp, term, plan.grain, 0, cp); });
+    auto out = forkjoin::run_walk(pool, node, plan.grain, cp);
     plan_feedback(plan, cp);
     return out;
   }

@@ -125,8 +125,9 @@ TEST(Pool, ManySequentialRunCalls) {
 
 TEST(Pool, WorkIsActuallyDistributed) {
   // With more than one worker and blocking leaves, at least one steal must
-  // occur (tasks start on the submitting worker's deque; the sleep forces
-  // the OS to schedule other workers even on a single-CPU host).
+  // occur (tasks start on the submitting worker's deque; the sleep yields
+  // the CPU, so idle workers get to steal even when the pool has more
+  // workers than the host has CPUs).
   ForkJoinPool pool(4);
   std::atomic<long> count{0};
   pool.run([&] {

@@ -152,7 +152,7 @@ TEST_F(CriticalPathTest, FlamegraphFoldedFormat) {
 TEST_F(CriticalPathTest, MeasuredSpanSanityAgainstSimulation) {
   // Profile a real fork-join reduce and compare the measured critical
   // path against the simmachine's prediction for the same tree shape.
-  // Measured time on a shared single-CPU host is noisy and the sim's
+  // Measured time on a shared, oversubscribed host is noisy and the sim's
   // cost model is calibrated per-element, so the contract is deliberately
   // loose: structural invariants must hold exactly (span <= work,
   // parallelism >= 1, span on the order of the tree depth) and the

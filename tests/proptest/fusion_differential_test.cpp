@@ -123,8 +123,8 @@ TEST(FusionDifferential, CancellationConsumptionDepthMatchesLegacy) {
 }
 
 /// Counter totals: leaves feed elements_accumulated the size of a SIZED
-/// source folded through the chain's stages (transform_count mirrors the
-/// wrappers' sizing), 0 once a stage — or an unsized source — makes it
+/// source folded through the chain's stages (each StageNode's
+/// transform_count), 0 once a stage — or an unsized source — makes it
 /// unknowable. sorted restarts the count at its buffer. The sum over
 /// leaves is the same however the walk splits.
 std::uint64_t expected_element_total(const PipelineShape& s) {

@@ -1,5 +1,5 @@
 // Planner ≡ shape predicates: the ExecutionPlan verdicts recorded by the
-// unified evaluate() entry must coincide with predicates computed from
+// terminal entry (evaluate_fused) must coincide with predicates computed from
 // the generated shape alone — every pipeline fuses, with the chain flags
 // the shape implies, and DPS admits exactly expects_dps_admission — and
 // planning must be

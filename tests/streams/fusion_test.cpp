@@ -1,6 +1,6 @@
-// Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"):
-// terminal evaluation strips every wrapper chain into a FusedPipeline and
-// drives one sink chain per leaf. These tests pin the contract against
+// Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"): a
+// Stream holds a FusedPipeline (its source plus one StageNode per op),
+// and terminal evaluation drives one sink chain per leaf. These tests pin the contract against
 // plain-loop expectations: results are exact, short-circuit chains
 // consume exactly as deep into the source as an element-at-a-time
 // evaluation must, every source shape — concat and unsized iterate
