@@ -11,7 +11,8 @@
 //                                (the default "segment" partitioning).
 //   ZipSpliterator::try_split  — carves off the even-position elements
 //                                (stride doubles; this keeps the odds),
-//                                exactly the paper's PZipSpliterator logic.
+//                                exactly the paper's PZipSpliterator logic,
+//                                and reports streams::kInterleaved.
 //
 // Subclasses may override on_split() to perform the paper's "additional
 // operations at the splitting phase", and for_each_remaining() to
@@ -165,6 +166,11 @@ class ZipSpliterator : public SpliteratorPower2<T> {
 
   explicit ZipSpliterator(std::shared_ptr<const std::vector<T>> data)
       : SpliteratorPower2<T>(data, 0, 1, data ? data->size() : 0) {}
+
+  /// The POWER2 flags plus INTERLEAVED: every split is the zip split.
+  streams::Characteristics characteristics() const override {
+    return SpliteratorPower2<T>::characteristics() | streams::kInterleaved;
+  }
 
   std::unique_ptr<streams::Spliterator<T>> try_split() override {
     // Zip only deconstructs even-length lists (PowerLists always are).

@@ -4,9 +4,11 @@
 //   check_spliterator_laws — the Spliterator contract (java.util.Spliterator
 //     semantics): bulk/stepwise/span traversal agreement, SIZED bookkeeping,
 //     SUBSIZED split-size conservation, split disjointness + coverage in
-//     encounter order, and destination-window consistency for
+//     encounter order, destination-window consistency for
 //     WindowedSource implementations (windows of split children partition
-//     the parent's window).
+//     the parent's window), and the interleaving law: a source reporting
+//     kInterleaved splits its window zip-style, and a prefix-splitting
+//     source never reports it.
 //
 //   check_collector_laws — the Collector contract: combiner associativity
 //     (any combine tree over any contiguous partition yields the single-
@@ -102,18 +104,54 @@ struct SplitLeaf {
   std::vector<T> values;
 };
 
+/// The interleaving law of one split: a parent reporting kInterleaved
+/// over window (s, i, c) must hand the prefix (s, 2i, c/2) and keep
+/// (s + i, 2i, c/2) — the split shape the fork-join walk's batched leaves
+/// rely on (forkjoin/walk.hpp).
+template <typename T>
+PropStatus interleave_law(const std::optional<streams::OutputWindow>& parent,
+                          const streams::Spliterator<T>& prefix,
+                          const streams::Spliterator<T>& suffix) {
+  if (!parent.has_value()) {
+    return law_fail("interleaved", "an interleaved source names no window");
+  }
+  const auto left = streams::output_window_of(prefix);
+  const auto right = streams::output_window_of(suffix);
+  const std::uint64_t half = parent->count / 2;
+  const auto is = [](const std::optional<streams::OutputWindow>& w,
+                     std::uint64_t start, std::uint64_t incr,
+                     std::uint64_t count) {
+    return w.has_value() && w->start == start && w->incr == incr &&
+           w->count == count;
+  };
+  if (parent->count % 2 != 0 ||
+      !is(left, parent->start, 2 * parent->incr, half) ||
+      !is(right, parent->start + parent->incr, 2 * parent->incr, half)) {
+    std::ostringstream os;
+    os << "window (" << parent->start << ", " << parent->incr << ", "
+       << parent->count << ") did not split into its even and odd halves";
+    return law_fail("interleaved", os.str());
+  }
+  return PropStatus::pass();
+}
+
 /// Recursively split `sp` under Rand-driven decisions, checking the split
 /// laws at every node and appending leaf traversals (prefix subtree first)
 /// to `leaves`.
 template <typename T>
 PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
-                            unsigned depth,
+                            unsigned depth, SplitOrder order,
                             std::vector<SplitLeaf<T>>& leaves) {
   const std::uint64_t before_estimate = sp.estimate_size();
   const bool sized = sp.has(streams::kSized);
   const bool subsized = sp.has(streams::kSized | streams::kSubsized);
+  const bool interleaved = sp.has(streams::kInterleaved);
   const std::optional<streams::OutputWindow> parent_window =
       streams::output_window_of(sp);
+  if (interleaved && order == SplitOrder::kPrefix) {
+    return law_fail("interleaved",
+                    "a prefix-splitting source reports kInterleaved");
+  }
 
   // Stop splitting on a Rand coin (deeper levels stop more eagerly), so
   // iterations cover shallow and deep decompositions alike.
@@ -182,10 +220,17 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
     }
   }
 
-  if (PropStatus s = split_tree_check(*prefix, r, depth + 1, leaves); !s.ok) {
+  if (interleaved) {
+    if (PropStatus s = interleave_law(parent_window, *prefix, sp); !s.ok) {
+      return s;
+    }
+  }
+
+  if (PropStatus s = split_tree_check(*prefix, r, depth + 1, order, leaves);
+      !s.ok) {
     return s;
   }
-  return split_tree_check(sp, r, depth + 1, leaves);
+  return split_tree_check(sp, r, depth + 1, order, leaves);
 }
 
 }  // namespace detail
@@ -194,7 +239,8 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
 /// (each call must return a fresh spliterator over the same conceptual
 /// source). Rand drives the split decisions. Pass
 /// SplitOrder::kInterleaved for zip-style sources, whose splits permute
-/// encounter order and carry it in output windows instead.
+/// encounter order and carry it in output windows instead; only those may
+/// report kInterleaved, and any that does must split zip-style.
 template <typename T>
 PropStatus check_spliterator_laws(
     const std::function<std::unique_ptr<streams::Spliterator<T>>()>& make,
@@ -269,7 +315,7 @@ PropStatus check_spliterator_laws(
   auto tree_sp = make();
   const auto root_window = streams::output_window_of(*tree_sp);
   std::vector<detail::SplitLeaf<T>> leaves;
-  if (PropStatus s = detail::split_tree_check(*tree_sp, r, 0, leaves);
+  if (PropStatus s = detail::split_tree_check(*tree_sp, r, 0, order, leaves);
       !s.ok) {
     return s;
   }

@@ -4,7 +4,7 @@
 // can be partitioned by exact size, SUBSIZED guarantees splits stay sized,
 // and the POWER2 extension — introduced by the paper — marks sources whose
 // element count is a power of two, the admission condition for PowerList
-// functions.
+// functions. INTERLEAVED, a second extension, marks zip-style splitting.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,14 @@ inline constexpr Characteristics kSubsized = 0x0020;
 /// Extension (Section IV-A of the paper): the element count is a power of
 /// two, so tie/zip decompositions are well defined all the way down.
 inline constexpr Characteristics kPower2 = 0x0100;
+/// Extension: try_split interleaves a strided window (start, incr, count)
+/// the way the PowerList zip does: the prefix takes the even positions
+/// (start, 2 * incr, count / 2), the suffix the odd ones
+/// (start + incr, 2 * incr, count / 2). Sibling split products then share
+/// cache lines, so the fork-join walk drains the sibling leaves of one
+/// task together, in one pass over their common window (forkjoin/walk.hpp).
+/// Stages that lose SUBSIZED lose it too.
+inline constexpr Characteristics kInterleaved = 0x0200;
 
 inline constexpr bool has_characteristics(Characteristics set,
                                           Characteristics wanted) {

@@ -17,6 +17,9 @@
 //
 // Splitting a FusedPipeline splits the source and shares the stage chain,
 // so the parallel tree walk forks fused leaves wherever the source splits.
+// The sibling leaves of an interleaved (zip-split) source are driven in
+// lockstep: one gather pass over their common window deals each batch to
+// its own leaf's chain (drive_lockstep).
 // Chains containing a cancelling stage (limit/skip/take_while) refuse to
 // split and always run the element-mode driver, preserving short-circuit
 // consumption depth. Stateful chains (distinct, drop_while) also refuse
@@ -24,13 +27,17 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <typeinfo>
 #include <utility>
 #include <vector>
 
+#include "forkjoin/walk.hpp"
 #include "streams/sink.hpp"
 #include "streams/spliterator.hpp"
 #include "support/assert.hpp"
@@ -112,6 +119,17 @@ class FusedPipeline {
   /// into `terminal` (a Sink of the pipeline's output type). Calls
   /// begin/end; uses the chunked transport unless the chain cancels.
   virtual void drive(SinkControl& terminal) = 0;
+
+  /// drive() for sibling split products of one pipeline, called on any
+  /// one of them: leaves[j] is pushed into terminals[j], each through its
+  /// own sink chain. When their sources' spans interleave into one window
+  /// (the leaves of one task over a kInterleaved source: one count, one
+  /// stride, starts a window step apart), one gather pass over that window
+  /// deals each kFusionChunk batch to its own chain, cut at the same
+  /// boundaries as each leaf's own drive(); otherwise each leaf drives in
+  /// turn. At most forkjoin::kBatchLeaves leaves.
+  virtual void drive_lockstep(std::span<FusedPipeline* const> leaves,
+                              std::span<SinkControl* const> terminals) = 0;
 
   /// Like drive(), but always element-mode with a cancellation check
   /// between source elements, regardless of whether any *stage* cancels —
@@ -250,6 +268,48 @@ class FusedPipelineImpl final : public FusedPipeline {
     run_drive(terminal, /*element_mode=*/cancels_);
   }
 
+  void drive_lockstep(std::span<FusedPipeline* const> leaves,
+                      std::span<SinkControl* const> terminals) override {
+    const std::size_t k = leaves.size();
+    PLS_CHECK(k == terminals.size() && k >= 1 && k <= forkjoin::kBatchLeaves,
+              "lockstep drive needs one terminal per leaf, at most "
+              "kBatchLeaves leaves");
+    // A cancelling chain refuses to split, so it never has siblings.
+    PLS_CHECK(!cancels_, "a cancelling chain drives one leaf at a time");
+    std::array<FusedPipelineImpl*, forkjoin::kBatchLeaves> leaf{};
+    std::array<StridedSpan<S>, forkjoin::kBatchLeaves> spans{};
+    for (std::size_t j = 0; j < k; ++j) {
+      PLS_CHECK(typeid(*leaves[j]) == typeid(*this),
+                "lockstep leaves must be split products of one pipeline");
+      leaf[j] = static_cast<FusedPipelineImpl*>(leaves[j]);
+      leaf[j]->open(*terminals[j]);
+      spans[j] = leaf[j]->source_->try_take_span();
+    }
+    bool together = false;
+    if constexpr (kGatherable) {
+      std::array<std::size_t, forkjoin::kBatchLeaves> order{};
+      together = k > 1 && interleaved(spans, k, order);
+      if (together) {
+        std::array<Sink<S>*, forkjoin::kBatchLeaves> heads{};
+        for (std::size_t q = 0; q < k; ++q) heads[q] = leaf[order[q]]->head_;
+        const std::span<Sink<S>* const> hs{heads.data(), k};
+        const StridedSpan<S>& first = spans[order[0]];
+        const std::size_t step = first.stride / k;
+        // k is a power of two above 1 and at most kBatchLeaves.
+        static_assert(forkjoin::kBatchLeaves == 4);
+        if (k == 2) {
+          gather_rows<2>(hs, first.data, first.stride, step, first.count);
+        } else {
+          gather_rows<4>(hs, first.data, first.stride, step, first.count);
+        }
+      }
+    }
+    for (std::size_t j = 0; !together && j < k; ++j) {
+      leaf[j]->drive_span(*leaf[j]->head_, spans[j]);
+    }
+    for (std::size_t j = 0; j < k; ++j) leaf[j]->close();
+  }
+
   void drive_short_circuit(SinkControl& terminal) override {
     run_drive(terminal, /*element_mode=*/true);
   }
@@ -317,51 +377,106 @@ class FusedPipelineImpl final : public FusedPipeline {
       while (step()) {
       }
     } else {
-      drive_bulk(*head_);
+      drive_span(*head_, source_->try_take_span());
     }
     close();
   }
 
-  /// Chunked transport. A memory-backed source hands over its remaining
+  /// Element types the gather copies into uninitialised scratch by plain
+  /// assignment.
+  static constexpr bool kGatherable = std::is_trivially_copyable_v<S> &&
+                                      std::is_default_constructible_v<S>;
+
+  /// Chunked transport of one leaf from the span its source handed over
+  /// (try_take_span). A memory-backed source hands over its remaining
   /// elements as one strided span: stride 1 goes to the chain whole (zero
-  /// copies), any other stride is gathered into the leaf's scratch buffer
-  /// a kFusionChunk batch at a time. Other sources batch through the same
-  /// buffer at one indirect call per element. Both batchings cut at the
-  /// same boundaries, so a source's results do not depend on its route.
-  /// Non-copyable elements fall back to element pushes.
-  void drive_bulk(Sink<S>& head) {
-    const StridedSpan<S> span = source_->try_take_span();
+  /// copies), any other stride is gathered into scratch a kFusionChunk
+  /// batch at a time. Other sources, and element types the gather cannot
+  /// copy, batch through a buffer at one push per element. Both batchings
+  /// cut at the same boundaries, so a source's results do not depend on
+  /// its route. Non-copyable elements fall back to element pushes.
+  void drive_span(Sink<S>& head, const StridedSpan<S>& span) {
     if (span.data != nullptr && span.stride == 1) {
       if (span.count != 0) head.accept_chunk(span.data, span.count);
       return;
     }
-    if constexpr (std::is_copy_constructible_v<S>) {
-      std::vector<S> buf;
+    if constexpr (kGatherable) {
       if (span.data != nullptr) {
-        buf.reserve(std::min(span.count, kFusionChunk));
-        for (std::size_t i = 0; i < span.count; i += kFusionChunk) {
-          const std::size_t m = std::min(span.count - i, kFusionChunk);
-          const S* p = span.data + i * span.stride;
-          buf.clear();
-          for (std::size_t j = 0; j < m; ++j) buf.push_back(p[j * span.stride]);
-          head.accept_chunk(buf.data(), m);
-        }
+        Sink<S>* heads[] = {&head};
+        gather_rows<1>(heads, span.data, span.stride, span.stride, span.count);
         return;
       }
+    }
+    if constexpr (std::is_copy_constructible_v<S>) {
+      std::vector<S> buf;
       buf.reserve(kFusionChunk);
-      source_->for_each_remaining([&](const S& v) {
+      const auto put = [&](const S& v) {
         buf.push_back(v);
         if (buf.size() == kFusionChunk) {
           head.accept_chunk(buf.data(), buf.size());
           buf.clear();
         }
-      });
+      };
+      for (std::size_t k = 0; k < span.count; ++k) {
+        put(span.data[k * span.stride]);
+      }
+      source_->for_each_remaining(put);
       if (!buf.empty()) head.accept_chunk(buf.data(), buf.size());
     } else {
       for (std::size_t k = 0; k < span.count; ++k) {
         head.accept(span.data[k * span.stride]);
       }
       source_->for_each_remaining([&](const S& v) { head.accept(v); });
+    }
+  }
+
+  /// True when the k spans (k a power of two) interleave into one window:
+  /// one count, one stride divisible by k, and starts stride / k apart.
+  /// `order` receives the spans in memory order.
+  static bool interleaved(
+      const std::array<StridedSpan<S>, forkjoin::kBatchLeaves>& spans,
+      std::size_t k, std::array<std::size_t, forkjoin::kBatchLeaves>& order) {
+    for (std::size_t q = 0; q < k; ++q) order[q] = q;
+    std::sort(order.begin(), order.begin() + k, [&](std::size_t a,
+                                                    std::size_t b) {
+      return std::less<const S*>{}(spans[a].data, spans[b].data);
+    });
+    const StridedSpan<S>& first = spans[order[0]];
+    if ((k & (k - 1)) != 0 || first.data == nullptr || first.stride % k != 0) {
+      return false;
+    }
+    for (std::size_t q = 0; q < k; ++q) {
+      const StridedSpan<S>& sq = spans[order[q]];
+      if (sq.count != first.count || sq.stride != first.stride ||
+          sq.data != first.data + q * (first.stride / k)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// One pass over a strided window of `count` rows: row i holds element
+  /// i of every head, head q's at base[i * stride + q * step]. Each
+  /// kFusionChunk batch of rows is gathered into one scratch slot per
+  /// head and handed to that head whole.
+  template <std::size_t K>
+  static void gather_rows(std::span<Sink<S>* const> heads, const S* base,
+                          std::size_t stride, std::size_t step,
+                          std::size_t count) {
+    PLS_ASSERT(heads.size() == K);
+    const std::size_t per = std::min(count, kFusionChunk);
+    const auto scratch = std::make_unique_for_overwrite<S[]>(K * per);
+    for (std::size_t i = 0; i < count; i += kFusionChunk) {
+      const std::size_t m = std::min(count - i, kFusionChunk);
+      const S* row = base + i * stride;
+      for (std::size_t j = 0; j < m; ++j, row += stride) {
+        for (std::size_t q = 0; q < K; ++q) {
+          scratch[q * per + j] = row[q * step];
+        }
+      }
+      for (std::size_t q = 0; q < K; ++q) {
+        heads[q]->accept_chunk(scratch.get() + q * per, m);
+      }
     }
   }
 
@@ -432,7 +547,7 @@ class FilterStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return upstream & ~(kSized | kSubsized | kPower2);
+    return upstream & ~(kSized | kSubsized | kPower2 | kInterleaved);
   }
 
  private:
@@ -489,7 +604,7 @@ class SliceStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return upstream & ~(kSubsized | kPower2);
+    return upstream & ~(kSubsized | kPower2 | kInterleaved);
   }
 
  private:
@@ -521,7 +636,8 @@ class FlatMapStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return upstream & ~(kSized | kSubsized | kSorted | kDistinct | kPower2);
+    return upstream & ~(kSized | kSubsized | kSorted | kDistinct | kPower2 |
+                       kInterleaved);
   }
 
  private:
@@ -549,7 +665,8 @@ class DistinctStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return (upstream & ~(kSized | kSubsized | kPower2)) | kDistinct;
+    return (upstream & ~(kSized | kSubsized | kPower2 | kInterleaved)) |
+           kDistinct;
   }
 };
 
@@ -578,7 +695,7 @@ class TakeWhileStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return upstream & ~(kSized | kSubsized | kPower2);
+    return upstream & ~(kSized | kSubsized | kPower2 | kInterleaved);
   }
 
  private:
@@ -610,7 +727,7 @@ class DropWhileStage final : public StageNode {
   }
   Characteristics transform_characteristics(
       Characteristics upstream) const noexcept override {
-    return upstream & ~(kSized | kSubsized | kPower2);
+    return upstream & ~(kSized | kSubsized | kPower2 | kInterleaved);
   }
 
  private:

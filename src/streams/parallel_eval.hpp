@@ -14,11 +14,16 @@
 //
 // That template is forkjoin::walk (forkjoin/walk.hpp), shared with the
 // PowerFunction executors and the multiway collects; here it walks a
-// PipelineNode. A terminal is a policy of two parts: leaf<T>(fp) builds
-// the terminal sink and drives the chunk into it, and combine(left, right)
-// merges two sibling results — or is absent, when leaves deliver their
-// results in place (for_each, and the destination-passing collect) and the
-// join does nothing.
+// PipelineNode. A terminal is a policy of four parts: state<T>(fp) makes
+// a leaf's fresh state (an accumulator, a count, a destination cursor),
+// sink<T>(state) the terminal sink feeding it, result(state) turns the
+// drained state into the leaf's result, and combine(left, right) merges
+// two sibling results — or is absent, when leaves deliver their results
+// in place (for_each, and the destination-passing collect) and the join
+// does nothing. Keeping state and sink apart lets several leaves be open
+// at once: over an interleaved (zip-split) source the walk hands a task's
+// sibling leaves to PipelineNode::leaf_batch, which drives them in one
+// pass (FusedPipeline::drive_lockstep) into one state each.
 //
 // collect has a second execution model, destination-passing style (DPS):
 // when the collector is a sized sink (streams/sized_sink.hpp) and the
@@ -31,9 +36,11 @@
 // else collects through the supplier/combiner policy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "forkjoin/walk.hpp"
@@ -83,35 +90,44 @@ class CollectorSink final : public Sink<T> {
   typename C::accumulation_type& acc_;
 };
 
-/// Terminal sink of the destination-passing collect: writes element k of
-/// this leaf to final position base + k * step of the shared sized sink.
+/// A destination-passing leaf's state: where its elements land in the
+/// shared sized sink (element k at base + k * step) and how many it wrote.
+struct DpsCursor {
+  std::uint64_t base = 0;
+  std::uint64_t step = 1;
+  std::uint64_t count = 0;  ///< the leaf's window size
+  std::uint64_t written = 0;
+};
+
+/// Terminal sink of the destination-passing collect: writes the leaf's
+/// elements to their final positions in the shared sized sink.
 template <typename T, typename C>
 class DpsSink final : public Sink<T> {
  public:
   DpsSink(const C& c, typename C::sized_accumulation_type& sink,
-          std::uint64_t base, std::uint64_t step)
-      : c_(c), sink_(sink), base_(base), step_(step) {}
+          DpsCursor& at)
+      : c_(c), sink_(sink), at_(at) {}
 
   void accept(const T& value) override {
-    c_.accumulate_at(sink_, base_ + k_ * step_, value);
-    ++k_;
+    c_.accumulate_at(sink_, at_.base + at_.written * at_.step, value);
+    ++at_.written;
   }
 
   void accept_chunk(const T* values, std::size_t n) override {
+    // Locals: the writes through the sink may alias the cursor.
+    const std::uint64_t base = at_.base;
+    const std::uint64_t step = at_.step;
+    const std::uint64_t k = at_.written;
     for (std::size_t i = 0; i < n; ++i) {
-      c_.accumulate_at(sink_, base_ + k_ * step_, values[i]);
-      ++k_;
+      c_.accumulate_at(sink_, base + (k + i) * step, values[i]);
     }
+    at_.written = k + n;
   }
-
-  std::uint64_t written() const noexcept { return k_; }
 
  private:
   const C& c_;
   typename C::sized_accumulation_type& sink_;
-  std::uint64_t base_;
-  std::uint64_t step_;
-  std::uint64_t k_ = 0;
+  DpsCursor& at_;
 };
 
 template <typename T, typename Op>
@@ -141,12 +157,12 @@ class ReduceSink final : public Sink<T> {
 template <typename T>
 class CountSink final : public Sink<T> {
  public:
+  explicit CountSink(std::uint64_t& n) : n_(n) {}
   void accept(const T&) override { ++n_; }
   void accept_chunk(const T*, std::size_t n) override { n_ += n; }
-  std::uint64_t count() const noexcept { return n_; }
 
  private:
-  std::uint64_t n_ = 0;
+  std::uint64_t& n_;
 };
 
 // Cancelling terminal sinks of the short-circuit terminals. Each raises
@@ -160,18 +176,18 @@ class CountSink final : public Sink<T> {
 template <typename T, typename Pred>
 class MatchSink final : public Sink<T> {
  public:
-  MatchSink(const Pred& pred, bool stop_on) : pred_(pred), stop_on_(stop_on) {}
+  MatchSink(const Pred& pred, bool stop_on, bool& hit)
+      : pred_(pred), stop_on_(stop_on), hit_(hit) {}
 
   void accept(const T& value) override {
     if (!hit_ && static_cast<bool>(pred_(value)) == stop_on_) hit_ = true;
   }
   bool cancellation_requested() const override { return hit_; }
-  bool hit() const noexcept { return hit_; }
 
  private:
   const Pred& pred_;
   bool stop_on_;
-  bool hit_ = false;
+  bool& hit_;
 };
 
 template <typename T>
@@ -187,13 +203,6 @@ class FindFirstSink final : public Sink<T> {
  private:
   std::optional<T>& out_;
 };
-
-template <typename T, typename Pred>
-bool drive_match(FusedPipeline& fp, const Pred& pred, bool stop_on) {
-  MatchSink<T, Pred> sink(pred, stop_on);
-  fp.drive_short_circuit(sink);
-  return sink.hit();
-}
 
 /// Where a chunk with source window `w` writes in a result buffer indexed
 /// 0..root.count in root strides: {base, step}. The source may itself be
@@ -226,12 +235,17 @@ struct Collect {
   const C& collector;
 
   template <typename T>
-  typename C::accumulation_type leaf(FusedPipeline& fp) const {
-    auto acc = collector.supply();
+  typename C::accumulation_type state(FusedPipeline&) const {
     observe::local_counters().on_allocation();
-    detail::CollectorSink<T, C> sink(collector, acc);
-    fp.drive(sink);
-    return acc;
+    return collector.supply();
+  }
+  template <typename T>
+  detail::CollectorSink<T, C> sink(typename C::accumulation_type& acc) const {
+    return {collector, acc};
+  }
+  typename C::accumulation_type result(
+      typename C::accumulation_type&& acc) const {
+    return std::move(acc);
   }
   void combine(typename C::accumulation_type& left,
                typename C::accumulation_type& right) const {
@@ -245,11 +259,16 @@ struct Reduce {
   const Op& op;
 
   template <typename T>
-  std::optional<T> leaf(FusedPipeline& fp) const {
-    std::optional<T> acc;
-    detail::ReduceSink<T, Op> sink(op, acc);
-    fp.drive(sink);
-    return acc;
+  std::optional<T> state(FusedPipeline&) const {
+    return std::nullopt;
+  }
+  template <typename T>
+  detail::ReduceSink<T, Op> sink(std::optional<T>& acc) const {
+    return {op, acc};
+  }
+  template <typename T>
+  std::optional<T> result(std::optional<T>&& acc) const {
+    return std::move(acc);
   }
   template <typename T>
   void combine(std::optional<T>& left, std::optional<T>& right) const {
@@ -267,69 +286,73 @@ struct ForEach {
   const Fn& fn;
 
   template <typename T>
-  forkjoin::Unit leaf(FusedPipeline& fp) const {
-    ForEachSink<T, Fn> sink(fn);
-    fp.drive(sink);
+  forkjoin::Unit state(FusedPipeline&) const {
     return {};
   }
+  template <typename T>
+  ForEachSink<T, Fn> sink(forkjoin::Unit&) const {
+    return ForEachSink<T, Fn>(fn);
+  }
+  forkjoin::Unit result(forkjoin::Unit&&) const { return {}; }
 };
 
 struct Count {
   static constexpr TerminalKind kind = TerminalKind::kCount;
 
   template <typename T>
-  std::uint64_t leaf(FusedPipeline& fp) const {
-    detail::CountSink<T> sink;
-    fp.drive(sink);
-    return sink.count();
+  std::uint64_t state(FusedPipeline&) const {
+    return 0;
   }
+  template <typename T>
+  detail::CountSink<T> sink(std::uint64_t& n) const {
+    return detail::CountSink<T>(n);
+  }
+  std::uint64_t result(std::uint64_t&& n) const { return n; }
   void combine(std::uint64_t& left, std::uint64_t& right) const {
     left += right;
   }
 };
 
-template <typename Pred>
-struct AnyMatch {
-  static constexpr TerminalKind kind = TerminalKind::kAnyMatch;
+/// any/all/none_match: the state is "an element stopped the drive";
+/// `stop_on` is the predicate value that stops it, `negate` turns the
+/// hit into the answer.
+template <typename Pred, TerminalKind K, bool stop_on, bool negate>
+struct Match {
+  static constexpr TerminalKind kind = K;
   const Pred& pred;
 
   template <typename T>
-  bool leaf(FusedPipeline& fp) const {
-    return detail::drive_match<T>(fp, pred, true);
+  bool state(FusedPipeline&) const {
+    return false;
   }
+  template <typename T>
+  detail::MatchSink<T, Pred> sink(bool& hit) const {
+    return {pred, stop_on, hit};
+  }
+  bool result(bool&& hit) const { return hit != negate; }
 };
 
 template <typename Pred>
-struct AllMatch {
-  static constexpr TerminalKind kind = TerminalKind::kAllMatch;
-  const Pred& pred;
-
-  template <typename T>
-  bool leaf(FusedPipeline& fp) const {
-    return !detail::drive_match<T>(fp, pred, false);
-  }
-};
-
+using AnyMatch = Match<Pred, TerminalKind::kAnyMatch, true, false>;
 template <typename Pred>
-struct NoneMatch {
-  static constexpr TerminalKind kind = TerminalKind::kNoneMatch;
-  const Pred& pred;
-
-  template <typename T>
-  bool leaf(FusedPipeline& fp) const {
-    return !detail::drive_match<T>(fp, pred, true);
-  }
-};
+using AllMatch = Match<Pred, TerminalKind::kAllMatch, false, true>;
+template <typename Pred>
+using NoneMatch = Match<Pred, TerminalKind::kNoneMatch, true, true>;
 
 struct FindFirst {
   static constexpr TerminalKind kind = TerminalKind::kFindFirst;
 
   template <typename T>
-  std::optional<T> leaf(FusedPipeline& fp) const {
-    std::optional<T> out;
-    detail::FindFirstSink<T> sink(out);
-    fp.drive_short_circuit(sink);
-    return out;
+  std::optional<T> state(FusedPipeline&) const {
+    return std::nullopt;
+  }
+  template <typename T>
+  detail::FindFirstSink<T> sink(std::optional<T>& out) const {
+    return detail::FindFirstSink<T>(out);
+  }
+  template <typename T>
+  std::optional<T> result(std::optional<T>&& out) const {
+    return std::move(out);
   }
 };
 
@@ -370,36 +393,90 @@ template <typename C>
 struct DpsCollect {
   static constexpr TerminalKind kind = TerminalKind::kCollect;
   const C& collector;
-  typename C::sized_accumulation_type& sink;
+  typename C::sized_accumulation_type& sink_at;
   OutputWindow root;
 
   template <typename T>
-  forkjoin::Unit leaf(FusedPipeline& fp) const {
+  DpsCursor state(FusedPipeline& fp) const {
     const auto w = fp.source_window();
     const auto [base, step] = rebase_window(w, root);
-    DpsSink<T, C> s(collector, sink, base, step);
-    fp.drive(s);
-    PLS_CHECK(s.written() == w->count,
+    return {base, step, w->count};
+  }
+  template <typename T>
+  DpsSink<T, C> sink(DpsCursor& at) const {
+    return {collector, sink_at, at};
+  }
+  forkjoin::Unit result(DpsCursor&& at) const {
+    PLS_CHECK(at.written == at.count,
               "chunk yielded a different count than its window");
     return {};
   }
 };
 
+/// One leaf's terminal: the policy's fresh state and the sink feeding it,
+/// built in place (the sink refers to the state).
+template <typename T, typename Term>
+struct TerminalLeaf {
+  using State = decltype(std::declval<const Term&>().template state<T>(
+      std::declval<FusedPipeline&>()));
+
+  State state;
+  decltype(std::declval<const Term&>().template sink<T>(
+      std::declval<State&>())) sink;
+
+  TerminalLeaf(const Term& term, FusedPipeline& fp)
+      : state(term.template state<T>(fp)),
+        sink(term.template sink<T>(state)) {}
+};
+
 /// The streams walk node: the pipeline's source window plus the terminal
 /// policy. Splitting keeps the suffix in `fp` and the prefix in the
-/// parent, so the left child is the earlier half.
+/// parent, so the left child is the earlier half. `batch` (the plan's
+/// verdict for an interleaved source) makes the walk run the sibling
+/// leaves of each task together through leaf_batch.
 template <typename T, typename Term>
 struct PipelineNode {
-  using R = decltype(std::declval<const Term&>().template leaf<T>(
-      std::declval<FusedPipeline&>()));
+  using Leaf = TerminalLeaf<T, Term>;
+  using R = decltype(std::declval<const Term&>().result(
+      std::declval<typename Leaf::State&&>()));
 
   FusedPipeline& fp;
   const Term& term;
+  bool batch = false;
   std::unique_ptr<FusedPipeline> prefix{};
 
   std::uint64_t size() const { return fp.estimate_size(); }
   std::uint64_t elements() const { return fp.countable_estimate(); }
-  R leaf() { return term.template leaf<T>(fp); }
+  bool batches() const { return batch; }
+
+  R leaf() {
+    Leaf l(term, fp);
+    if constexpr (terminal_short_circuits(Term::kind)) {
+      fp.drive_short_circuit(l.sink);
+    } else {
+      fp.drive(l.sink);
+    }
+    return term.result(std::move(l.state));
+  }
+
+  /// The sibling leaves of one task, drained in one lockstep pass, each
+  /// into its own state.
+  void leaf_batch(std::span<PipelineNode* const> leaves,
+                  std::span<std::optional<R>> out) const {
+    const std::size_t k = leaves.size();
+    std::array<std::optional<Leaf>, forkjoin::kBatchLeaves> open;
+    std::array<FusedPipeline*, forkjoin::kBatchLeaves> fps{};
+    std::array<SinkControl*, forkjoin::kBatchLeaves> sinks{};
+    for (std::size_t j = 0; j < k; ++j) {
+      open[j].emplace(term, leaves[j]->fp);
+      fps[j] = &leaves[j]->fp;
+      sinks[j] = &open[j]->sink;
+    }
+    fps[0]->drive_lockstep({fps.data(), k}, {sinks.data(), k});
+    for (std::size_t j = 0; j < k; ++j) {
+      out[j].emplace(term.result(std::move(open[j]->state)));
+    }
+  }
 
   // count reports what it counted, exact even where a stage (or an
   // unsized source) leaves the estimate unknown.
@@ -412,7 +489,8 @@ struct PipelineNode {
   std::optional<std::pair<PipelineNode, PipelineNode>> split() {
     prefix = fp.try_split();
     if (!prefix) return std::nullopt;
-    return std::pair{PipelineNode{*prefix, term}, PipelineNode{fp, term}};
+    return std::pair{PipelineNode{*prefix, term, batch},
+                     PipelineNode{fp, term, batch}};
   }
 
   R combine(R&& left, R&& right) const
@@ -429,7 +507,7 @@ struct PipelineNode {
 template <typename T, typename Term>
 auto run_walk(FusedPipeline& fp, const Term& term, const ExecutionConfig& cfg,
               const ExecutionPlan& plan) {
-  PipelineNode<T, Term> node{fp, term};
+  PipelineNode<T, Term> node{fp, term, plan.batches_leaves()};
   if constexpr (terminal_short_circuits(Term::kind)) {
     return forkjoin::walk_leaf(node);
   } else {

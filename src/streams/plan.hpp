@@ -37,6 +37,7 @@
 #include <utility>
 
 #include "forkjoin/pool.hpp"
+#include "forkjoin/walk.hpp"
 #include "observe/config.hpp"
 #include "observe/counters.hpp"
 #include "observe/critical_path.hpp"
@@ -317,6 +318,7 @@ struct ExecutionPlan {
   bool subsized = false;
   bool windowed = false;
   bool power_of_two = false;
+  bool interleaved = false;  ///< the source splits kInterleaved
 
   // Stage summary of the fused chain (synthesized skeleton plans carry
   // no stream pipeline: fused == false, flags at their defaults).
@@ -338,6 +340,13 @@ struct ExecutionPlan {
   KernelMode kernel = KernelMode::kScalarLoop;
   std::uint64_t cache_key = 0;  ///< PlanCache shape key (parallel plans)
 
+  /// A fork-join tree over an interleaved source: the walk forks to
+  /// forkjoin::kBatchLeaves times the grain and drains each task's
+  /// sibling leaves in one pass.
+  bool batches_leaves() const noexcept {
+    return interleaved && drive == DriveMode::kForkJoinTree;
+  }
+
   /// Human-readable dump (pls::session::explain()).
   std::string explain() const {
     std::ostringstream os;
@@ -350,6 +359,7 @@ struct ExecutionPlan {
     else if (sized) os << ", SIZED";
     if (windowed) os << ", windowed";
     if (power_of_two) os << ", power-of-two";
+    if (interleaved) os << ", interleaved";
     os << '\n';
     os << "  stages : ";
     if (fused) {
@@ -371,6 +381,9 @@ struct ExecutionPlan {
     if (parallel && drive == DriveMode::kForkJoinTree) {
       os << ", grain " << grain << " (" << grain_source_name(grain_source)
          << ")";
+      if (batches_leaves()) {
+        os << ", " << forkjoin::kBatchLeaves << " leaves per task";
+      }
     }
     os << '\n';
     os << "  kernel : " << kernel_name(kernel) << '\n';
@@ -409,10 +422,12 @@ std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
 // ---- grain policy ----------------------------------------------------
 
 /// The Java-style default split target: estimate / (4 * parallelism),
-/// floored at 1 (AbstractTask.suggestTargetSize).
+/// floored at 1 (AbstractTask.suggestTargetSize). The 4 leaves per worker
+/// is forkjoin::kBatchLeaves, so a batching walk at this grain forks one
+/// task per worker.
 inline std::uint64_t default_grain(std::uint64_t estimate,
                                    unsigned parallelism) {
-  const std::uint64_t t = estimate / (4ull * parallelism);
+  const std::uint64_t t = estimate / (forkjoin::kBatchLeaves * parallelism);
   return t > 0 ? t : 1;
 }
 
@@ -622,6 +637,8 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   const auto w = fp.source_window();
   p.windowed = w.has_value();
   p.power_of_two = w.has_value() && is_power_of_two(w->count);
+  p.interleaved =
+      has_characteristics(fp.source_characteristics(), kInterleaved);
   p.stages = static_cast<std::uint32_t>(fp.stage_count());
   p.one_to_one = fp.one_to_one();
   p.cancels = fp.cancels();

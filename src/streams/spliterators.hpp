@@ -228,8 +228,9 @@ class ConcatSpliterator final : public Spliterator<T> {
   Characteristics characteristics() const override {
     Characteristics c = second_->characteristics();
     if (first_ != nullptr) c &= first_->characteristics();
-    // Concatenation does not preserve sortedness/distinctness/POWER2.
-    return c & ~(kSorted | kDistinct | kPower2);
+    // Concatenation does not preserve sortedness/distinctness/POWER2, and
+    // its split hands off the first part, never an interleaving.
+    return c & ~(kSorted | kDistinct | kPower2 | kInterleaved);
   }
 
  private:

@@ -332,7 +332,8 @@ class StaticChainStage final : public StageNode {
     return chain_one_to_one_v<Ops...>
                ? upstream & ~(kSorted | kDistinct)
                : upstream &
-                     ~(kSized | kSubsized | kSorted | kDistinct | kPower2);
+                     ~(kSized | kSubsized | kSorted | kDistinct | kPower2 |
+                       kInterleaved);
   }
 
  private:

@@ -5,7 +5,8 @@
 // (FusedSpliterator) over map/peek/filter pipelines — checked against the
 // generic contract checker over generated sizes, values, and split
 // decisions. Each suite also pins whether the family answers the
-// bulk-pull span hook.
+// bulk-pull span hook; the interleaving law runs in every suite, and
+// InterleavedFlag pins which families report kInterleaved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "plist/multiway_spliterator.hpp"
+#include "powerlist/collector_functions.hpp"
 #include "powerlist/spliterators.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/laws.hpp"
@@ -271,6 +273,62 @@ TEST(SpliteratorLaws, PeekWrapper) {
       "FusedSpliterator(peek) laws",
       std::make_shared<const streams::PeekStage<std::int64_t, Noop>>(
           std::make_shared<const Noop>()));
+}
+
+/// A tie source that falsely claims zip-style splitting.
+class MislabelledTie final : public powerlist::TieSpliterator<std::int64_t> {
+ public:
+  using TieSpliterator::TieSpliterator;
+  streams::Characteristics characteristics() const override {
+    return TieSpliterator::characteristics() | streams::kInterleaved;
+  }
+};
+
+// Zip sources, the paper's PZipSpliterator among them, report kInterleaved
+// before and after splitting; tie, array, range and n-way tie sources never
+// do; concat drops it; and the law rejects a source that reports it
+// falsely, whichever split order it is checked under.
+TEST(SpliteratorLaws, InterleavedFlag) {
+  std::vector<std::int64_t> values(64);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<std::int64_t>(i);
+  }
+  const Shared shared = std::make_shared<const std::vector<std::int64_t>>(values);
+
+  powerlist::ZipSpliterator<std::int64_t> zip(shared);
+  EXPECT_TRUE(zip.has(streams::kInterleaved));
+  const SpInt evens = zip.try_split();
+  ASSERT_NE(evens, nullptr);
+  EXPECT_TRUE(evens->has(streams::kInterleaved));
+  EXPECT_TRUE(zip.has(streams::kInterleaved));
+
+  const pls::powerlist::PolynomialValueCollector pv(0.5);
+  const auto pzip = pv.make_spliterator(
+      std::make_shared<const std::vector<double>>(64, 1.0));
+  EXPECT_TRUE(pzip->has(streams::kInterleaved));
+  EXPECT_TRUE(pzip->try_split()->has(streams::kInterleaved));
+
+  EXPECT_FALSE(powerlist::TieSpliterator<std::int64_t>(shared).has(
+      streams::kInterleaved));
+  EXPECT_FALSE(streams::ArraySpliterator<std::int64_t>(shared).has(
+      streams::kInterleaved));
+  EXPECT_FALSE(streams::RangeSpliterator<std::int64_t>(0, 64).has(
+      streams::kInterleaved));
+  EXPECT_FALSE(
+      plist::NTieSpliterator<std::int64_t>(shared).has(streams::kInterleaved));
+  const streams::ConcatSpliterator<std::int64_t> concat(
+      std::make_unique<powerlist::ZipSpliterator<std::int64_t>>(shared),
+      std::make_unique<powerlist::ZipSpliterator<std::int64_t>>(shared));
+  EXPECT_FALSE(concat.has(streams::kInterleaved));
+
+  for (const SplitOrder order : {SplitOrder::kPrefix, SplitOrder::kInterleaved}) {
+    Rand r(7);
+    const PropStatus s = check_spliterator_laws<std::int64_t>(
+        [&]() -> SpInt { return std::make_unique<MislabelledTie>(shared); }, r,
+        order);
+    EXPECT_FALSE(s.ok);
+    EXPECT_NE(s.message.find("[interleaved]"), std::string::npos) << s.message;
+  }
 }
 
 }  // namespace
